@@ -8,6 +8,7 @@ table uses the form `iv = (v1,i1);(v2,i2);...`.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, fields, replace
 
 from .analysis import EnergyParams
@@ -29,6 +30,12 @@ class DriveConfig:
 
     i0_over_ic: float = 10.0   # demo unit-weight current in critical currents
     i0: float | None = None    # absolute override [A]; wins when set
+
+    def __post_init__(self):
+        if not self.i0_over_ic > 0:
+            raise ValueError("i0_over_ic must be > 0")
+        if self.i0 is not None and not self.i0 > 0:
+            raise ValueError("i0 must be > 0")
 
 
 @dataclass(frozen=True)
@@ -55,7 +62,10 @@ class FullConfig:
 
 
 def _float(s: str) -> float:
-    return float(s)
+    v = float(s)
+    if not math.isfinite(v):
+        raise ValueError(f"not a finite number: {s!r}")
+    return v
 
 
 def _int(s: str) -> int:
@@ -77,7 +87,7 @@ def _iv_table(s: str):
         if not (part.startswith("(") and part.endswith(")")):
             raise ValueError(f"bad iv anchor {part!r}")
         v, i = part[1:-1].split(",")
-        pairs.append((float(v), float(i)))
+        pairs.append((_float(v), _float(i)))
     return tuple(pairs)
 
 

@@ -6,11 +6,19 @@ the current magnetizations, all net spin currents are assembled from those
 outputs, and only then is every magnet advanced one LLG step. Thermal
 noise is drawn from a counter-based stream keyed by (seed, step), so
 trajectories are bit-reproducible regardless of evaluation order.
+
+`run` and `step` share one path, `GridStepper`, which keeps the magnets in
+the component-first layout of `dynamics.GridHeun` and steps them in place.
+Bit-identity contract: every trajectory equals, bit for bit, the plain
+loop of `dynamics.heun_step` on the (rows, cols, 3) layout, with one
+make_rng(seed, STREAM_LLG, n) draw per step n and `net_currents` rebuilt
+from the logic outputs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -41,12 +49,12 @@ class CellModel:
         if self.boundary not in (BOUNDARY_MINUS_ONE, BOUNDARY_ZERO_FLUX):
             raise ValueError(f"unknown boundary rule {self.boundary!r}")
 
-    @property
+    @cached_property
     def logic_boundary_mz(self) -> float:
         b = logic_mz_boundary(self.mtj, self.inverter)
         return 0.0 if abs(b) < 1e-12 else b
 
-    @property
+    @cached_property
     def delivery_factor(self) -> float:
         ch = self.channel
         return (1.0 - ch.ground_spin_sink) * spin_transmission(ch.L, ch.l_sf)
@@ -138,26 +146,64 @@ def net_currents(grid: CnnGrid, model: CellModel) -> np.ndarray:
     return _currents_from_outputs(y, grid, model)
 
 
+class GridStepper:
+    """Advances one grid in place; built once per run, one call per step.
+
+    Holds the magnets in a `dynamics.GridHeun` (`mz` is a live view of
+    m_z), the thermal sigma (the dt guard is checked once) and one Philox
+    generator keyed by (seed, STREAM_LLG); the logic boundary and the
+    delivery factor are cached on the `CellModel`. Resetting the counter
+    to n before step n's draw gives the bits of make_rng(seed, STREAM_LLG,
+    n); the sample is drawn into a reused (rows, cols, 3) buffer.
+    """
+
+    def __init__(self, grid: CnnGrid, cfg: SimConfig, model: CellModel):
+        if cfg.dt > dynamics.MAX_DT:
+            raise ValueError(f"dt = {cfg.dt} exceeds stability guard {dynamics.MAX_DT}")
+        self.grid, self.model = grid, model
+        self.sigma = dynamics.thermal_sigma(model.magnet, cfg.temperature, cfg.dt)
+        self.heun = dynamics.GridHeun(grid.m, model.magnet, cfg.dt)
+        self.mz = self.heun.m[2]
+        self.step_index = grid.step_index
+        self.noise = np.zeros(grid.m.shape)
+        self.noise_by_component = self.noise.transpose(2, 0, 1)
+        self.rng = make_rng(cfg.seed, STREAM_LLG)
+        self.rng_state = self.rng.bit_generator.state
+
+    def outputs(self) -> np.ndarray:
+        """Bipolar logic outputs read from the current magnetizations."""
+        return np.where(self.mz > self.model.logic_boundary_mz, 1.0, -1.0)
+
+    def currents(self, y: np.ndarray) -> np.ndarray:
+        """Net spin currents [A] for logic outputs y."""
+        return _currents_from_outputs(y, self.grid, self.model)
+
+    def advance(self, torque) -> None:
+        """One synchronous LLG step of every magnet under `torque`."""
+        if self.sigma:
+            self.rng_state["state"]["counter"][3] = self.step_index
+            self.rng.bit_generator.state = self.rng_state
+            self.rng.standard_normal(out=self.noise)
+            self.noise *= self.sigma
+        self.heun.step(torque, self.noise_by_component)
+        self.step_index += 1
+
+    def to_grid(self) -> CnnGrid:
+        return CnnGrid(self.heun.magnetization(), self.grid.u,
+                       self.grid.templates, self.step_index)
+
+
 def step(grid: CnnGrid, cfg: SimConfig, model: CellModel,
          currents: np.ndarray | None = None) -> CnnGrid:
     """One synchronous update; outputs for step n+1 use magnetizations
     from step n."""
-    if cfg.dt > dynamics.MAX_DT:
-        raise ValueError(f"dt = {cfg.dt} exceeds stability guard {dynamics.MAX_DT}")
+    stepper = GridStepper(grid, cfg, model)
     Is = net_currents(grid, model) if currents is None else currents
-    torque = dynamics.stt_rate(model.magnet, Is)
-    sigma = dynamics.thermal_sigma(model.magnet, cfg.temperature, cfg.dt)
-    if sigma:
-        rng = make_rng(cfg.seed, STREAM_LLG, grid.step_index)
-        thermal = rng.standard_normal(grid.m.shape) * sigma
-    else:
-        thermal = np.zeros(grid.m.shape)
-    m = dynamics.heun_step(grid.m, model.magnet, torque, thermal, cfg.dt)
-    return CnnGrid(m, grid.u, grid.templates, grid.step_index + 1)
+    stepper.advance(dynamics.stt_rate(model.magnet, Is))
+    return stepper.to_grid()
 
 
-def _settled(grid: CnnGrid, model: CellModel, cfg: SimConfig,
-             Is: np.ndarray) -> bool:
+def _settled(mz: np.ndarray, Is: np.ndarray, cfg: SimConfig) -> bool:
     """All magnets saturated and no net current opposes its magnet.
 
     The torque-consistency clause distinguishes a genuine fixed point from
@@ -165,50 +211,58 @@ def _settled(grid: CnnGrid, model: CellModel, cfg: SimConfig,
     at |m_z| > threshold, and keeps sub-critically driven wrong pixels
     reported as non-converged.
     """
-    mz = grid.m[:, :, 2]
-    if not np.all(np.abs(mz) >= cfg.mz_threshold):
+    if not (np.abs(mz) >= cfg.mz_threshold).all():
         return False
-    return bool(np.all(Is * np.sign(mz) >= 0.0))
+    return bool((Is * np.sign(mz) >= 0.0).all())
 
 
 def run(grid: CnnGrid, cfg: SimConfig, model: CellModel) -> Trajectory:
     """Step until settled continuously for hold_time, or t_max.
 
     Settled means every |m_z| is at or above the threshold and no cell's
-    net spin current opposes its magnetization.
+    net spin current opposes its magnetization. A start that is already
+    settled with hold_time = 0 returns at once with the initial frame.
+    All steps go through one `GridStepper`, and the drive is rebuilt only
+    when some logic output flips, so the result equals `step` applied
+    n_steps times bit for bit.
     """
-    initial = grid.logic_pattern(model)
+    s = GridStepper(grid, cfg, model)
     times = [0.0]
-    frames = [grid.m[:, :, 2].copy()]
+    frames = [s.mz.copy()]
     sample_every = max(int(round(cfg.sample_interval / cfg.dt)), 1)
     hold_steps = max(int(round(cfg.hold_time / cfg.dt)), 0)
     n_steps = int(round(cfg.t_max / cfg.dt))
-    y = np.where(grid.m[:, :, 2] > model.logic_boundary_mz, 1.0, -1.0)
-    Is = _currents_from_outputs(y, grid, model)
-    ok_run = 1 if _settled(grid, model, cfg, Is) else 0
-    conv_time = 0.0 if (hold_steps == 0 and ok_run) else None
+    y = s.outputs()
+    initial = Pattern.from_array(y.astype(int))
+    Is = s.currents(y)
+    torque = dynamics.stt_rate(model.magnet, Is)
+    ok_run = 1 if _settled(s.mz, Is, cfg) else 0
+    conv_time = None
+    if hold_steps == 0 and ok_run:
+        conv_time, n_steps = 0.0, 0
     for n in range(1, n_steps + 1):
-        grid = step(grid, cfg, model, currents=Is)
+        s.advance(torque)
         t = n * cfg.dt
         if n % sample_every == 0 or n == n_steps:
             times.append(t)
-            frames.append(grid.m[:, :, 2].copy())
+            frames.append(s.mz.copy())
         # currents only change when some logic output flips
-        y_new = np.where(grid.m[:, :, 2] > model.logic_boundary_mz, 1.0, -1.0)
-        if not np.array_equal(y_new, y):
+        y_new = s.outputs()
+        if (y_new != y).any():
             y = y_new
-            Is = _currents_from_outputs(y, grid, model)
-        if _settled(grid, model, cfg, Is):
+            Is = s.currents(y)
+            torque = dynamics.stt_rate(model.magnet, Is)
+        if _settled(s.mz, Is, cfg):
             ok_run += 1
-            if conv_time is None and ok_run > hold_steps:
+            if ok_run > hold_steps:
                 conv_time = t
                 if times[-1] != t:
                     times.append(t)
-                    frames.append(grid.m[:, :, 2].copy())
+                    frames.append(s.mz.copy())
                 break
         else:
             ok_run = 0
-    final = grid.logic_pattern(model)
+    final = Pattern.from_array(y.astype(int))  # y is read from the last state
     flips = int(np.sum(final.to_array() != initial.to_array()))
     return Trajectory(np.array(times), np.array(frames), conv_time,
                       final, initial, flips, cfg.seed)
@@ -260,8 +314,7 @@ def hebbian_train(pairs: list[tuple[Pattern, Pattern]],
 
 def quantize_templates(weights: np.ndarray) -> np.ndarray:
     """Snap template-unit weights to representable synapse levels / 4."""
-    q = np.vectorize(lambda w: quantize_weight(w * LEVELS_PER_UNIT_WEIGHT))
-    return q(weights) / LEVELS_PER_UNIT_WEIGHT
+    return quantize_weight(weights * LEVELS_PER_UNIT_WEIGHT) / LEVELS_PER_UNIT_WEIGHT
 
 
 def run_associative(cue: Pattern, templates: TemplateSet, cfg: SimConfig,

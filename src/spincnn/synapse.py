@@ -17,6 +17,8 @@ import math
 from dataclasses import dataclass, field
 from itertools import product
 
+import numpy as np
+
 BRANCH_SIZES = (4, 2, 1, 1)
 LEVELS_PER_UNIT_WEIGHT = 4  # level-to-template-unit conversion
 
@@ -62,14 +64,21 @@ def encode_weight(w: int) -> SynapseConfig:
     raise ValueError(f"weight {w} is not representable")
 
 
-def quantize_weight(w_real: float, max_level: int = 8) -> int:
-    """Nearest representable level after clamping; ties round away from zero."""
-    if not math.isfinite(w_real):
+def quantize_weight(w_real, max_level: int = 8):
+    """Nearest representable level after clamping; ties round away from zero.
+
+    Takes a float, giving an int, or an array, giving an int array.
+    """
+    w = np.asarray(w_real, dtype=float)
+    if not np.isfinite(w).all():
         raise ValueError("weight must be finite")
-    w = min(max(w_real, -max_level), max_level)
-    levels = [v for v in representable_weights() if abs(v) <= max_level]
-    best = min(levels, key=lambda v: (abs(v - w), -abs(v)))
-    return best
+    w = np.clip(w, -max_level, max_level)
+    # ordered by falling |level|, so argmin's first match breaks a tie
+    # away from zero
+    levels = np.array(sorted((v for v in representable_weights()
+                              if abs(v) <= max_level), key=abs, reverse=True))
+    q = levels[np.argmin(np.abs(levels - w[..., None]), axis=-1)]
+    return int(q) if q.ndim == 0 else q
 
 
 def program_synapse(target_weight: int,

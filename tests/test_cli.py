@@ -99,6 +99,21 @@ class TestSimulate:
         assert rc == 1
         assert "alpha" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text, key", [
+        ("[magnet]\nms = nan\n", "ms"),
+        ("[drive]\ni0 = -1e-3\n", "i0"),
+    ])
+    def test_bad_config_value_exits_one_before_integrating(
+            self, tmp_path, capsys, text, key):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(text)
+        out = tmp_path / "o"
+        rc = main(["simulate", "--config", str(cfg), "--pattern", "zero",
+                   "--seed", "1", "--out", str(out)])
+        assert rc == 1
+        assert key in capsys.readouterr().err
+        assert not out.exists()  # the output directory is made after the run
+
 
 class TestTrain:
     def test_trained_file_roundtrips_through_simulate(self, tmp_path,

@@ -87,6 +87,25 @@ class TestErrors:
         with pytest.raises(ConfigError, match="iv"):
             parse_config("[drive_model]\niv = 0.01,2.8e-6\n")
 
+    @pytest.mark.parametrize("text", [
+        "[magnet]\nms = nan\n",
+        "[sim]\ndt = inf\n",
+        "[inverter]\nv_th = -inf\n",
+        "[drive_model]\niv = (0.01,nan);(1.0,7.5e-5)\n",
+    ])
+    def test_non_finite_value_rejected(self, text):
+        with pytest.raises(ConfigError, match="finite"):
+            parse_config(text)
+
+    @pytest.mark.parametrize("text", [
+        "[drive]\ni0 = -1e-3\n",
+        "[drive]\ni0 = 0\n",
+        "[drive]\ni0_over_ic = 0\n",
+    ])
+    def test_non_positive_drive_rejected(self, text):
+        with pytest.raises(ConfigError, match="drive"):
+            parse_config(text)
+
     def test_bad_boundary_value(self):
         with pytest.raises(ConfigError, match="boundary"):
             parse_config("[network]\nboundary = mirror\n")

@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 
 from spincnn import load_glyph
-from spincnn.core import (MagnetParams, Pattern, SimConfig, TemplateSet,
-                          add_noise)
-from spincnn.dynamics import analytic_critical_current
+from spincnn.core import (STREAM_LLG, MagnetParams, Pattern, SimConfig,
+                          TemplateSet, add_noise, make_rng)
+from spincnn.dynamics import (analytic_critical_current, heun_step, stt_rate,
+                              thermal_sigma)
 from spincnn.network import (BOUNDARY_ZERO_FLUX, CellModel, CnnGrid,
                              hebbian_train, load_templates, net_currents,
                              noise_filter_templates, quantize_templates, run,
@@ -158,6 +159,14 @@ class TestRun:
             assert traj.converged
             assert traj.final_pattern == black
 
+    def test_settled_start_with_zero_hold_returns_at_once(self):
+        cfg = SimConfig(t_max=5e-9, hold_time=0.0, seed=1)
+        traj = run(grid_of(load_glyph("zero")), cfg, MODEL)
+        assert traj.convergence_time == 0.0
+        assert list(traj.times) == [0.0]
+        assert traj.mz.shape == (1, 30, 20)
+        assert traj.final_pattern == load_glyph("zero")
+
     def test_seed_determinism(self):
         cfg = SimConfig(t_max=1e-9, seed=11)
         noisy = add_noise(load_glyph("zero"), 0.1, 1)
@@ -247,3 +256,74 @@ def test_grid_shape_mismatch_rejected():
 def test_logic_pattern_reads_poles():
     g = grid_of(load_glyph("two"))
     assert g.logic_pattern(MODEL) == load_glyph("two")
+
+
+def reference_run(grid, cfg, model):
+    """`run` written out from the public single-path pieces: heun_step on
+    the (rows, cols, 3) layout, one make_rng(seed, STREAM_LLG, n) draw per
+    step and net_currents recomputed after every step."""
+    p, m = model.magnet, grid.m.copy()
+    sigma = thermal_sigma(p, cfg.temperature, cfg.dt)
+    sample_every = max(int(round(cfg.sample_interval / cfg.dt)), 1)
+    hold_steps = int(round(cfg.hold_time / cfg.dt))
+    n_steps = int(round(cfg.t_max / cfg.dt))
+
+    def state():
+        g = CnnGrid(m, grid.u, grid.templates)
+        Is = net_currents(g, model)
+        mz = m[:, :, 2]
+        ok = np.all(np.abs(mz) >= cfg.mz_threshold) and \
+            np.all(Is * np.sign(mz) >= 0.0)
+        return Is, ok, g.logic_pattern(model)
+
+    times, frames = [0.0], [m[:, :, 2].copy()]
+    Is, ok, final = state()
+    ok_run, conv = int(ok), None
+    if hold_steps == 0 and ok:
+        return np.array(times), np.array(frames), 0.0, final
+    for n in range(1, n_steps + 1):
+        thermal = make_rng(cfg.seed, STREAM_LLG, n - 1).standard_normal(
+            m.shape) * sigma if sigma else np.zeros(m.shape)
+        m = heun_step(m, p, stt_rate(p, Is), thermal, cfg.dt)
+        t = n * cfg.dt
+        if n % sample_every == 0 or n == n_steps:
+            times.append(t)
+            frames.append(m[:, :, 2].copy())
+        Is, ok, final = state()
+        ok_run = ok_run + 1 if ok else 0
+        if ok_run > hold_steps:
+            conv = t
+            if times[-1] != t:
+                times.append(t)
+                frames.append(m[:, :, 2].copy())
+            break
+    return np.array(times), np.array(frames), conv, final
+
+
+@pytest.mark.parametrize("boundary", ["minus-one", BOUNDARY_ZERO_FLUX])
+@pytest.mark.parametrize("temperature", [300.0, 0.0])
+@pytest.mark.parametrize("app", ["cross", "hebbian"])
+def test_run_is_bit_identical_to_reference_loop(boundary, temperature, app):
+    from dataclasses import replace
+    rng = np.random.default_rng(5)
+    cue = Pattern.from_array(rng.choice([-1, 1], size=(6, 5)))
+    if app == "cross":
+        templates = noise_filter_templates()
+    else:
+        target = Pattern.from_array(rng.choice([-1, 1], size=(6, 5)))
+        templates = hebbian_train([(cue, target), (target, cue)])
+    # tilted start, so that the T = 0 runs move off the poles as well
+    m = np.zeros((6, 5, 3))
+    m[:, :, 2] = cue.to_array()
+    m += rng.normal(scale=0.3, size=m.shape)
+    m /= np.linalg.norm(m, axis=-1, keepdims=True)
+    grid = CnnGrid(m, cue.to_array().astype(float), templates)
+    model = replace(MODEL, boundary=boundary)
+    cfg = SimConfig(seed=4, temperature=temperature, t_max=2e-9,
+                    hold_time=0.2e-9)
+    traj = run(grid, cfg, model)
+    times, frames, conv, final = reference_run(grid, cfg, model)
+    assert np.array_equal(traj.times, times)
+    assert np.array_equal(traj.mz, frames)
+    assert traj.convergence_time == conv
+    assert traj.final_pattern == final

@@ -3,6 +3,7 @@
 import math
 from itertools import product
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -82,6 +83,17 @@ class TestQuantizer:
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError):
             quantize_weight(math.nan)
+
+    def test_array_matches_scalar_rule(self):
+        w = np.array([[0.3, 5.2, 9.7, -11.0], [1.0, -1.0, 3.0, -3.0]])
+        q = quantize_weight(w)
+        assert q.shape == w.shape
+        assert q.tolist() == [[0, 6, 8, -8], [2, -2, 4, -4]]
+        assert type(quantize_weight(1.0)) is int
+
+    def test_array_with_non_finite_rejected(self):
+        with pytest.raises(ValueError):
+            quantize_weight(np.array([1.0, math.inf]))
 
 
 class TestProgramming:

@@ -36,11 +36,10 @@ import numpy as np
 from . import GLYPHS, load_glyph
 from .analysis import (EnergyParams, Scenario, aggregate, cmos_sweep, compare,
                        pareto, records_to_csv, sweep_voltage)
-from .config import ConfigError, FullConfig, load_config_file
-from .core import (Pattern, SimConfig, frame_to_pgm, load_pattern_file,
-                   save_pattern)
+from .config import ConfigError, FullConfig, parse_config
+from .core import Pattern, frame_to_pgm, load_pattern_file, save_pattern
 from .dynamics import (analytic_critical_current, critical_spin_current,
-                       switch_time)
+                       switch_times)
 from .network import (CellModel, CnnGrid, hebbian_train, load_templates,
                       noise_filter_templates, run, run_associative,
                       save_templates)
@@ -73,7 +72,7 @@ def _load_config(path: str | None) -> tuple[FullConfig, str]:
     except OSError as exc:
         raise CliError(f"config {path}: {exc.strerror}") from exc
     try:
-        cfg = load_config_file(path)
+        cfg = parse_config(text)
     except ConfigError as exc:
         raise CliError(f"config {path}: {exc}") from exc
     return cfg, hashlib.sha256(text.encode()).hexdigest()
@@ -387,34 +386,16 @@ def _oracle_read_curve(full: FullConfig) -> int:
     return EXIT_OK if ok else EXIT_ERROR
 
 
-def _deterministic_switch_time(p, i0: float, cfg: SimConfig) -> float | None:
-    """T = 0 switch time from a 1-degree tilt (the exact pole is a fixed
-    point, so the zero-temperature reference needs a seed tilt)."""
-    from .dynamics import heun_step, stt_rate
-    tilt = math.radians(1.0)
-    m = np.array([math.sin(tilt), 0.0, math.cos(tilt)])
-    torque = stt_rate(p, -i0)
-    zero = np.zeros(3)
-    n_steps = int(round(cfg.t_max / cfg.dt))
-    for n in range(1, n_steps + 1):
-        m = heun_step(m, p, torque, zero, cfg.dt)
-        if m[2] <= -cfg.mz_threshold:
-            return n * cfg.dt
-    return None
-
-
 def _oracle_switch_stats(full: FullConfig) -> int:
     p = full.magnet
     i0 = _demo_i0(full)
-    t0 = _deterministic_switch_time(p, i0, full.sim)
+    # the exact pole is a fixed point, so the T = 0 reference starts tilted
+    [t0] = switch_times(p, -i0, 0.0, [0], full.sim, tilt_deg=1.0)
     if t0 is None:
         print(f"drive {-i0:.3e} A does not switch at T = 0")
         return EXIT_ERROR
-    times = []
-    for seed in range(20):
-        t = switch_time(p, -i0, full.sim.temperature, seed=seed)
-        if t is not None:
-            times.append(t)
+    times = [t for t in switch_times(p, -i0, full.sim.temperature, range(20),
+                                     full.sim) if t is not None]
     if not times:
         print("no stochastic realization switched")
         return EXIT_ERROR

@@ -206,7 +206,3 @@ def parse_config(text: str) -> FullConfig:
     boundary = overrides["network"].get("boundary", BOUNDARY_MINUS_ONE)
     return FullConfig(boundary=boundary, explicit=frozenset(explicit), **parts)
 
-
-def load_config_file(path) -> FullConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_config(fh.read())

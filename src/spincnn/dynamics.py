@@ -19,9 +19,11 @@ Sign convention: positive spin current drives m_z toward +1.
 Two implementations of the Heun step exist. `heun_step` takes and returns
 (..., 3) arrays and serves single magnets and small batches. `GridHeun`
 steps a whole grid in place from preallocated buffers in a cyclic
-component-first layout, (5, rows, cols) holding x, y, z, x, y. Every
-element goes through the same floating-point operations in the same
-order as in `heun_step`, so both give the same bits.
+component-first layout, (5, rows, cols) holding x, y, z, x, y; it also
+steps an ensemble of independent single magnets as a (5, n) grid, which
+is how `switch_times` runs its realisations. Every element goes through
+the same floating-point operations in the same order as in `heun_step`,
+so both give the same bits.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ from .constants import GAMMA, KB, MU0, Q
 from .core import MagnetParams, SimConfig, make_rng, STREAM_SWITCH
 
 MAX_DT = 10e-12  # step-size stability guard [s]
+SWITCH_BLOCK = 256  # thermal samples drawn per switch_times member at a time
 
 
 def thermal_sigma(p: MagnetParams, T: float, dt: float) -> float:
@@ -277,24 +280,44 @@ def critical_spin_current(p: MagnetParams, horizon: float = 50e-9,
     return hi
 
 
-def switch_time(p: MagnetParams, Is: float, T: float, seed: int,
-                cfg: SimConfig | None = None) -> float | None:
-    """First-passage time of m_z through -mz_threshold from a +z start [s].
+def switch_times(p: MagnetParams, Is: float, T: float, seeds,
+                 cfg: SimConfig | None = None,
+                 tilt_deg: float = 0.0) -> list[float | None]:
+    """First-passage times of m_z through -mz_threshold [s], one per seed.
 
-    Single stochastic realization; returns None on timeout (t_max reached).
-    `Is` must oppose the initial +z orientation (negative sign).
+    Each seed is a member of one `GridHeun` ensemble started tilt_deg off +z
+    toward +x, with its own make_rng(seed, STREAM_SWITCH); its time is the
+    first (step + 1) dt with m_z <= -mz_threshold, None after t_max. `Is`
+    must oppose the +z start. A member that has crossed steps on, on stale
+    samples, until all have. Bit-identity contract: each time equals that of
+    a `heun_step` loop fed rng.standard_normal(3) * sigma per step. Samples
+    come SWITCH_BLOCK steps at a time into a (SWITCH_BLOCK, 3) slice, scaled
+    in place; a generator yields one stream of normals, so one call for 3 k
+    values gives the bits of k calls for 3, in order.
     """
     cfg = cfg or SimConfig()
     if Is >= 0:
         raise ValueError("Is must oppose the initial +z orientation")
-    rng = make_rng(seed, STREAM_SWITCH)
-    m = np.array([0.0, 0.0, 1.0])
-    torque = stt_rate(p, Is)
-    sigma = thermal_sigma(p, T, cfg.dt)
+    if cfg.dt > MAX_DT:
+        raise ValueError(f"dt = {cfg.dt} exceeds stability guard {MAX_DT}")
+    n, tilt = len(seeds), math.radians(tilt_deg)
+    heun = GridHeun(np.tile([math.sin(tilt), 0.0, math.cos(tilt)], (n, 1)), p, cfg.dt)
+    torque, sigma = stt_rate(p, Is), thermal_sigma(p, T, cfg.dt)
+    pending = {k: make_rng(seed, STREAM_SWITCH) for k, seed in enumerate(seeds)}
+    noise, mz = np.zeros((n, SWITCH_BLOCK, 3)), np.empty((SWITCH_BLOCK, n))
+    times: list[float | None] = [None] * n
     n_steps = int(round(cfg.t_max / cfg.dt))
-    for step in range(n_steps):
-        thermal = rng.standard_normal(3) * sigma if sigma else np.zeros(3)
-        m = heun_step(m, p, torque, thermal, cfg.dt)
-        if m[2] <= -cfg.mz_threshold:
-            return (step + 1) * cfg.dt
-    return None
+    for start in range(0, n_steps, SWITCH_BLOCK):
+        for k, rng in pending.items() if sigma else ():
+            rng.standard_normal(out=noise[k])
+            noise[k] *= sigma
+        for j in range(min(SWITCH_BLOCK, n_steps - start)):
+            heun.step(torque, noise[:, j].T)
+            mz[j] = heun.m[2]
+        crossed = mz[:n_steps - start] <= -cfg.mz_threshold
+        for k in [k for k in pending if crossed[:, k].any()]:
+            times[k] = (start + int(crossed[:, k].argmax()) + 1) * cfg.dt
+            del pending[k]
+        if not pending:
+            break
+    return times

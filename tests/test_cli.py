@@ -3,11 +3,14 @@
 import json
 import os
 
+import numpy as np
 import pytest
 
 from spincnn import load_glyph
 from spincnn.cli import main
-from spincnn.core import add_noise, load_pattern_file, save_pattern
+from spincnn.core import (MagnetParams, SimConfig, add_noise,
+                          load_pattern_file, save_pattern)
+from spincnn.dynamics import analytic_critical_current, switch_times
 
 FAST_CONFIG = """\
 [sim]
@@ -98,6 +101,12 @@ class TestSimulate:
                    "--out", str(tmp_path / "o")])
         assert rc == 1
         assert "alpha" in capsys.readouterr().err
+
+    def test_config_error_names_the_file(self, tmp_path, capsys):
+        bad = tmp_path / "bad.cfg"
+        bad.write_text("[magnet]\nalpha = fast\n")
+        assert main(["oracle", "transmission", "--config", str(bad)]) == 1
+        assert f"error: config {bad}: line 2: bad value" in capsys.readouterr().err
 
     @pytest.mark.parametrize("text, key", [
         ("[magnet]\nms = nan\n", "ms"),
@@ -193,6 +202,34 @@ class TestOracle:
         assert header[0] == "mz"
         assert sum(1 for h in header if h.startswith("v_out")) == 3
         assert "monotone in mz: yes" in out
+
+    def test_switch_stats_agrees(self, capsys):
+        assert main(["oracle", "switch-stats"]) == 0
+        out = capsys.readouterr().out
+        assert "20/20 seeds" in out
+        assert "agreement: yes" in out
+
+    def test_critical_current_agrees(self, capsys):
+        assert main(["oracle", "critical-current"]) == 0
+        assert "agreement: yes" in capsys.readouterr().out
+
+    def test_switch_stats_realisations_follow_sim_section(self, tmp_path,
+                                                          capsys):
+        cfg = tmp_path / "sim.cfg"
+        cfg.write_text("[sim]\nmz_threshold = 0.5\n")
+        assert main(["oracle", "switch-stats", "--config", str(cfg)]) == 0
+        out = capsys.readouterr().out
+        i0 = 10 * analytic_critical_current(MagnetParams())
+        times = switch_times(MagnetParams(), -i0, 300.0, range(20),
+                             SimConfig(mz_threshold=0.5))
+        assert f"seeds at 300 K: {float(np.mean(times)) * 1e9:.4f} ns" in out
+        assert "switch time: 1.3520 ns" in out
+
+    def test_switch_stats_step_guard_exits_one(self, tmp_path, capsys):
+        cfg = tmp_path / "dt.cfg"
+        cfg.write_text("[sim]\ndt = 5e-11\n")
+        assert main(["oracle", "switch-stats", "--config", str(cfg)]) == 1
+        assert "exceeds stability guard" in capsys.readouterr().err
 
     def test_unknown_check_rejected(self, capsys):
         with pytest.raises(SystemExit):

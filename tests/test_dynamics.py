@@ -9,10 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spincnn.constants import GAMMA, KB, MU0, Q
-from spincnn.core import MagnetParams, SimConfig, make_rng
+from spincnn.core import STREAM_SWITCH, MagnetParams, SimConfig, make_rng
 from spincnn.dynamics import (MAX_DT, analytic_critical_current,
                               critical_spin_current, effective_field,
-                              heun_step, llg_step, stt_rate, switch_time,
+                              heun_step, llg_step, stt_rate, switch_times,
                               thermal_field_sample, thermal_sigma)
 
 P = MagnetParams()
@@ -150,21 +150,42 @@ class TestCriticalCurrent:
         assert small < full / 3
 
 
+def reference_switch_time(p, Is, T, seed, cfg, tilt_deg=0.0):
+    """One magnet stepped by `heun_step` with a per-step thermal draw of
+    standard_normal(3) * sigma; at T = 0 this is the former deterministic
+    loop of the switch-stats oracle (zero field, tilted start)."""
+    rng = make_rng(seed, STREAM_SWITCH)
+    tilt = math.radians(tilt_deg)
+    m = np.array([math.sin(tilt), 0.0, math.cos(tilt)])
+    torque = stt_rate(p, Is)
+    sigma = thermal_sigma(p, T, cfg.dt)
+    for n in range(1, int(round(cfg.t_max / cfg.dt)) + 1):
+        thermal = rng.standard_normal(3) * sigma if sigma else np.zeros(3)
+        m = heun_step(m, p, torque, thermal, cfg.dt)
+        if m[2] <= -cfg.mz_threshold:
+            return n * cfg.dt
+    return None
+
+
 class TestSwitchTime:
     CFG = SimConfig(t_max=10e-9)
 
     def test_subcritical_times_out_at_zero_temperature(self):
         Is = -0.5 * analytic_critical_current(P)
-        assert switch_time(P, Is, 0.0, seed=0, cfg=self.CFG) is None
+        assert switch_times(P, Is, 0.0, [0], cfg=self.CFG) == [None]
 
     def test_wrong_sign_rejected(self):
         with pytest.raises(ValueError):
-            switch_time(P, 1e-6, 300.0, seed=0)
+            switch_times(P, 1e-6, 300.0, [0])
+
+    def test_step_guard(self):
+        Is = -10 * analytic_critical_current(P)
+        with pytest.raises(ValueError, match="stability guard"):
+            switch_times(P, Is, 300.0, [0], SimConfig(dt=5e-11))
 
     def test_thermal_switching_at_demo_drive(self):
         Is = -10 * analytic_critical_current(P)
-        times = [switch_time(P, Is, 300.0, seed=s, cfg=self.CFG)
-                 for s in range(10)]
+        times = switch_times(P, Is, 300.0, range(10), self.CFG)
         assert all(t is not None for t in times)
         med = float(np.median(times))
         assert 0.1e-9 <= med <= 4e-9
@@ -173,13 +194,28 @@ class TestSwitchTime:
         ic = analytic_critical_current(P)
         medians = []
         for mult in (2, 5, 20):
-            ts = [switch_time(P, -mult * ic, 300.0, seed=s, cfg=self.CFG)
-                  for s in range(8)]
+            ts = switch_times(P, -mult * ic, 300.0, range(8), self.CFG)
             assert all(t is not None for t in ts)
             medians.append(float(np.median(ts)))
         assert medians[0] > medians[1] > medians[2]
 
     def test_seed_determinism(self):
         Is = -10 * analytic_critical_current(P)
-        assert switch_time(P, Is, 300.0, 4, self.CFG) == \
-            switch_time(P, Is, 300.0, 4, self.CFG)
+        assert switch_times(P, Is, 300.0, [4], self.CFG) == \
+            switch_times(P, Is, 300.0, [4], self.CFG)
+
+    @pytest.mark.parametrize("T, seeds, cfg, tilt_deg, timeouts", [
+        (300.0, range(4), CFG, 0.0, 0),
+        (0.0, [0], SimConfig(), 1.0, 0),
+        (300.0, [7, 3, 1000003], SimConfig(t_max=1.3e-9), 0.0, 2),
+        (300.0, [7, 3, 1000003], SimConfig(mz_threshold=0.5), 0.0, 0),
+    ], ids=["300K", "T0-tilted", "with-timeouts", "threshold-0.5"])
+    def test_bit_identical_to_reference_loop(self, T, seeds, cfg, tilt_deg,
+                                             timeouts):
+        Is = -10 * analytic_critical_current(P)
+        got = switch_times(P, Is, T, seeds, cfg, tilt_deg=tilt_deg)
+        assert got == [reference_switch_time(P, Is, T, s, cfg, tilt_deg)
+                       for s in seeds]
+        assert got.count(None) == timeouts
+        # every switching member crosses after the first 256-step block
+        assert all(t > 256 * cfg.dt for t in got if t is not None)

@@ -172,15 +172,6 @@ def spin_area(n_cells: int, hw: ScenarioHardware, size_multiplier: int,
     return n_cells * (transistor_area + passive_area)
 
 
-def idle_power(hw: ScenarioHardware, n_cells: int,
-               amp: cmos_mod.AmplifierModel) -> dict:
-    """Idle (retention) power: magnets are non-volatile, SRAM is not."""
-    return {
-        "spin_W": 0.0,
-        "cmos_W": n_cells * hw.n_synapses * amp.sram_retention,
-    }
-
-
 def _point(s: Scenario, v: float, size: int, seed: int, cfg: SimConfig,
            base_model: CellModel, drive: DriveModel,
            ep: EnergyParams) -> SweepRecord:

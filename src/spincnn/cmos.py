@@ -6,9 +6,10 @@ The cell dynamics are
     C dx/dt = -x/R + sum(A y_neighbors) + sum(B u_neighbors) + I,
     y = f(x),
 
-integrated with classical RK4 on the grid. The output function is the
-standard piecewise-linear saturation 0.5 (|x+1| - |x-1|); a smooth
-tanh option is kept behind a flag for sensitivity checks.
+integrated with classical RK4 on the grid, with -1 virtual cells outside
+it. The output function is the standard piecewise-linear saturation
+0.5 (|x+1| - |x-1|). The neighbour sums are W @ y + c from
+`core.template_operator`, built once per run, so B u + I is computed once.
 
 The power/delay numbers are NOT derived from circuit simulation: they are
 a two-parameter calibration (P_0, delay_0 per cell at unit bias) chosen to
@@ -18,17 +19,17 @@ them is labeled accordingly.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
+
+from .core import BOUNDARY_MINUS_ONE, TemplateSet, template_operator
 
 
 @dataclass(frozen=True)
 class ChuaParams:
     R: float = 1.0   # linear feedback resistance (normalized units)
     C: float = 1.0   # cell capacitance (normalized units)
-    smooth_output: bool = False
 
     def __post_init__(self):
         if self.R <= 0 or self.C <= 0:
@@ -48,7 +49,6 @@ class AmplifierModel:
     delay_0: float = 100e-9       # convergence delay at unit scale [s]
     delay_floor: float = 10e-9    # bandwidth/DC-gain limit [s]
     p_leak: float = 0.0           # scale-independent static power per cell [W]
-    sram_retention: float = 5e-8  # idle retention power per synapse [W]
     feature_size: float = 16e-9   # minimum feature size F [m]
     min_width_f: float = 4.0      # minimum transistor width in units of F
     amp_widths: tuple[float, ...] = (2, 2, 2, 2, 2, 2, 2)  # 7-transistor op amp
@@ -68,41 +68,16 @@ def f_output(x):
     return 0.5 * (np.abs(x + 1.0) - np.abs(x - 1.0))
 
 
-def _outputs(x, p: ChuaParams):
-    return np.tanh(x) if p.smooth_output else f_output(x)
-
-
-def _grid_derivative(x: np.ndarray, u: np.ndarray, A: np.ndarray,
-                     B: np.ndarray, I: np.ndarray, p: ChuaParams,
-                     boundary: float) -> np.ndarray:
-    """dx/dt over the whole grid; A, B per-cell (rows, cols, 3, 3)."""
-    y = _outputs(x, p)
-    rows, cols = x.shape
-    yp = np.full((rows + 2, cols + 2), f_output(boundary))
-    up = np.full((rows + 2, cols + 2), float(boundary))
-    yp[1:-1, 1:-1] = y
-    up[1:-1, 1:-1] = u
-    acc = np.array(I, dtype=float, copy=True)
-    for dr in range(3):
-        for dc in range(3):
-            acc += A[:, :, dr, dc] * yp[dr:dr + rows, dc:dc + cols]
-            acc += B[:, :, dr, dc] * up[dr:dr + rows, dc:dc + cols]
-    return (-x / p.R + acc) / p.C
-
-
-def cell_derivative(x: np.ndarray, u: np.ndarray, cell: tuple[int, int],
-                    templates, p: ChuaParams, boundary: float = -1.0) -> float:
-    """dx/dt of one cell (Chua state equation divided by C)."""
-    rows, cols = np.asarray(x).shape
-    A, B, I = templates.per_cell(rows, cols)
-    d = _grid_derivative(np.asarray(x, dtype=float), np.asarray(u, dtype=float),
-                         A, B, I, p, boundary)
-    return float(d[cell])
+def _grid_derivative(x: np.ndarray, W, c: np.ndarray,
+                     p: ChuaParams) -> np.ndarray:
+    """dx/dt of every cell (Chua state equation divided by C); x is flat,
+    row-major, and (W, c) come from `core.template_operator`."""
+    return (-x / p.R + (W @ f_output(x) + c)) / p.C
 
 
 def integrate(x0: np.ndarray, u: np.ndarray, templates, p: ChuaParams,
               dt: float, t_max: float, hold_time: float = 0.0,
-              boundary: float = -1.0, sample_interval: float | None = None):
+              sample_interval: float | None = None):
     """RK4 integration of the grid; converges when all |x| >= 1 stably.
 
     Returns (times, states, convergence_time); convergence_time is None
@@ -110,13 +85,13 @@ def integrate(x0: np.ndarray, u: np.ndarray, templates, p: ChuaParams,
     """
     if dt > p.tau / 10.0:
         raise ValueError(f"dt = {dt} exceeds stability guard tau/10 = {p.tau / 10}")
-    x = np.array(x0, dtype=float)
-    u = np.asarray(u, dtype=float)
-    rows, cols = x.shape
-    A, B, I = templates.per_cell(rows, cols)
+    shape = np.shape(x0)
+    x = np.array(x0, dtype=float).reshape(-1)
+    W, c = template_operator(templates, np.asarray(u, dtype=float),
+                             BOUNDARY_MINUS_ONE)
 
     def f(state):
-        return _grid_derivative(state, u, A, B, I, p, boundary)
+        return _grid_derivative(state, W, c, p)
 
     times = [0.0]
     states = [x.copy()]
@@ -144,12 +119,11 @@ def integrate(x0: np.ndarray, u: np.ndarray, templates, p: ChuaParams,
                 break
         else:
             ok_run = 0
-    return np.array(times), np.array(states), conv_time
+    return np.array(times), np.array(states).reshape((-1,) + shape), conv_time
 
 
 def cmos_noise_filter_templates():
     """CMOS counterpart of the spintronic filter: center weight 2."""
-    from .core import TemplateSet
     A = np.array([[0.0, 1.0, 0.0],
                   [1.0, 2.0, 1.0],
                   [0.0, 1.0, 0.0]])

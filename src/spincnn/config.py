@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass, field, fields, replace
 
 from .analysis import EnergyParams
-from .cmos import AmplifierModel, ChuaParams
+from .cmos import AmplifierModel
 from .core import MagnetParams, SimConfig
 from .network import BOUNDARY_MINUS_ONE, BOUNDARY_ZERO_FLUX, CellModel
 from .readpath import InverterModel, MtjParams
@@ -47,7 +47,6 @@ class FullConfig:
     inverter: InverterModel = field(default_factory=InverterModel)
     drive_model: DriveModel = field(default_factory=DriveModel)
     drive: DriveConfig = field(default_factory=DriveConfig)
-    chua: ChuaParams = field(default_factory=ChuaParams)
     amplifier: AmplifierModel = field(default_factory=AmplifierModel)
     energy: EnergyParams = field(default_factory=EnergyParams)
     boundary: str = BOUNDARY_MINUS_ONE
@@ -70,14 +69,6 @@ def _float(s: str) -> float:
 
 def _int(s: str) -> int:
     return int(s, 0)
-
-
-def _bool(s: str) -> bool:
-    if s.lower() in ("1", "true", "yes", "on"):
-        return True
-    if s.lower() in ("0", "false", "no", "off"):
-        return False
-    raise ValueError(f"not a boolean: {s!r}")
 
 
 def _iv_table(s: str):
@@ -136,15 +127,10 @@ _SCHEMA = {
     "drive": {
         "i0_over_ic": ("i0_over_ic", _float), "i0": ("i0", _float),
     },
-    "cmos": {
-        "r": ("R", _float), "c": ("C", _float),
-        "smooth_output": ("smooth_output", _bool),
-    },
     "amplifier": {
         "p_neuron": ("p_neuron", _float), "p_synapse": ("p_synapse", _float),
         "delay_0": ("delay_0", _float), "delay_floor": ("delay_floor", _float),
         "p_leak": ("p_leak", _float),
-        "sram_retention": ("sram_retention", _float),
     },
     "energy": {
         "c_gate_unit": ("c_gate_unit", _float),
@@ -160,7 +146,7 @@ _SCHEMA = {
 _TARGETS = {
     "sim": "sim", "magnet": "magnet", "channel": "channel", "mtj": "mtj",
     "inverter": "inverter", "drive_model": "drive_model", "drive": "drive",
-    "cmos": "chua", "amplifier": "amplifier", "energy": "energy",
+    "amplifier": "amplifier", "energy": "energy",
 }
 
 

@@ -1,4 +1,5 @@
-"""Shared domain types, pattern I/O and seeded noise injection.
+"""Shared domain types, pattern I/O, seeded noise injection and the 3x3
+neighbourhood operator of the CNN template sum.
 
 Pixel convention, used everywhere in the package: +1 = black = magnetization
 pointing up (+z), -1 = white = magnetization pointing down (-z).
@@ -9,6 +10,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
+from scipy import sparse
 
 from .constants import MU0, MU_B
 
@@ -146,6 +149,52 @@ class TemplateSet:
         if self.A.shape[:2] != (rows, cols):
             raise ValueError("template grid shape does not match pattern shape")
         return self.A, self.B, self.I
+
+
+# Boundary rules for the cells outside the grid: a virtual cell with output
+# and input -1, or a copy of the nearest edge cell.
+BOUNDARY_MINUS_ONE = "minus-one"
+BOUNDARY_ZERO_FLUX = "zero-flux"
+
+
+def neighbour_index(rows: int, cols: int, boundary: str) -> np.ndarray:
+    """(rows * cols, 9) row-major index of every cell's 3x3 neighbourhood.
+
+    Offsets run row-major from (-1, -1) to (+1, +1), as in a 3x3 template.
+    Zero-flux points an outside neighbour at its edge copy; minus-one points
+    it at index rows * cols, the virtual -1 cell held after the grid.
+    """
+    cells = np.arange(rows * cols).reshape(rows, cols)
+    if boundary == BOUNDARY_ZERO_FLUX:
+        padded = np.pad(cells, 1, mode="edge")
+    else:
+        padded = np.pad(cells, 1, constant_values=rows * cols)
+    return sliding_window_view(padded, (3, 3)).reshape(rows * cols, 9)
+
+
+def template_operator(templates: TemplateSet, u: np.ndarray,
+                      boundary: str) -> tuple[sparse.csr_array, np.ndarray]:
+    """(W, c) with W @ y + c the flat template drive of every cell,
+    sum(A y_neighbours) + sum(B u_neighbours) + I, for outputs y.
+
+    W is (N, N) with at most 9 nonzeros per row; the edge copies of the
+    zero-flux rule are summed into it. c holds B u + I and the -1 border
+    terms, since u is fixed for a run. With weights that are multiples of
+    1/4 and y, u in {-1, +1}, every partial sum is exact in float64, so any
+    summation order gives the same bits.
+    """
+    rows, cols = u.shape
+    n = rows * cols
+    A, B, I = templates.per_cell(rows, cols)
+    a, b = A.reshape(n, 9), B.reshape(n, 9)
+    idx = neighbour_index(rows, cols, boundary)
+    border = idx == n
+    # the virtual border cell has output and input -1 in every step
+    c = I.reshape(n) + (b * np.append(u, -1.0)[idx] - a * border).sum(axis=1)
+    keep = ~border & (a != 0.0)
+    cells = np.broadcast_to(np.arange(n)[:, None], idx.shape)
+    W = sparse.csr_array((a[keep], (cells[keep], idx[keep])), shape=(n, n))
+    return W, c
 
 
 @dataclass(frozen=True)

@@ -53,15 +53,6 @@ def thermal_sigma(p: MagnetParams, T: float, dt: float) -> float:
     return math.sqrt(2.0 * p.alpha * KB * T / (MU0 ** 2 * GAMMA * p.Ms * p.volume * dt))
 
 
-def thermal_field_sample(p: MagnetParams, T: float, dt: float,
-                         rng: np.random.Generator) -> np.ndarray:
-    """One zero-mean Gaussian thermal field sample, shape (3,) [A/m]."""
-    sigma = thermal_sigma(p, T, dt)
-    if sigma == 0.0:
-        return np.zeros(3)
-    return rng.standard_normal(3) * sigma
-
-
 def effective_field(m: np.ndarray, p: MagnetParams,
                     thermal: np.ndarray) -> np.ndarray:
     """Uniaxial easy-axis field (0, 0, Hk m_z) plus the thermal sample."""
@@ -136,10 +127,6 @@ class GridHeun:
         self.m[:3] = np.moveaxis(m, -1, 0)
         self.m[3:] = self.m[:2]
 
-    def magnetization(self) -> np.ndarray:
-        """Copy of the state in the (..., 3) layout."""
-        return np.moveaxis(self.m[:3], 0, -1).copy()
-
     def _cross(self, a: np.ndarray, b: np.ndarray, out: np.ndarray) -> None:
         np.multiply(a[1:4], b[2:5], out=out)
         np.multiply(a[2:5], b[1:4], out=self.t)
@@ -195,7 +182,8 @@ def llg_step(m: np.ndarray, p: MagnetParams, Is: float, T: float, dt: float,
     """Advance one magnet by one step; |m| = 1 enforced on output."""
     if dt > MAX_DT:
         raise ValueError(f"dt = {dt} exceeds stability guard {MAX_DT}")
-    thermal = thermal_field_sample(p, T, dt, rng)
+    sigma = thermal_sigma(p, T, dt)
+    thermal = rng.standard_normal(3) * sigma if sigma else np.zeros(3)
     return heun_step(np.asarray(m, dtype=float), p, stt_rate(p, Is), thermal, dt)
 
 

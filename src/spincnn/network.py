@@ -7,12 +7,13 @@ outputs, and only then is every magnet advanced one LLG step. Thermal
 noise is drawn from a counter-based stream keyed by (seed, step), so
 trajectories are bit-reproducible regardless of evaluation order.
 
-`run` and `step` share one path, `GridStepper`, which keeps the magnets in
+`run` steps the grid through one `GridStepper`, which keeps the magnets in
 the component-first layout of `dynamics.GridHeun` and steps them in place.
-Bit-identity contract: every trajectory equals, bit for bit, the plain
-loop of `dynamics.heun_step` on the (rows, cols, 3) layout, with one
-make_rng(seed, STREAM_LLG, n) draw per step n and `net_currents` rebuilt
-from the logic outputs.
+The template drive of every cell is W @ y + c, from the operator that
+`core.template_operator` builds once per run. Bit-identity contract: every
+trajectory equals, bit for bit, the plain loop of `dynamics.heun_step` on
+the (rows, cols, 3) layout, with one make_rng(seed, STREAM_LLG, n) draw per
+step n and `net_currents` rebuilt from the logic outputs.
 """
 
 from __future__ import annotations
@@ -23,14 +24,12 @@ from functools import cached_property
 import numpy as np
 
 from . import dynamics
-from .core import (Pattern, SimConfig, TemplateSet, make_rng, STREAM_LLG)
-from .core import MagnetParams
+from .core import (BOUNDARY_MINUS_ONE, BOUNDARY_ZERO_FLUX, STREAM_LLG,
+                   MagnetParams, Pattern, SimConfig, TemplateSet, make_rng,
+                   neighbour_index, template_operator)
 from .readpath import InverterModel, MtjParams, logic_mz_boundary
 from .synapse import LEVELS_PER_UNIT_WEIGHT, quantize_weight
 from .transport import ChannelParams, spin_transmission
-
-BOUNDARY_MINUS_ONE = "minus-one"
-BOUNDARY_ZERO_FLUX = "zero-flux"
 
 
 @dataclass(frozen=True)
@@ -67,15 +66,6 @@ class CnnGrid:
     m: np.ndarray                 # (rows, cols, 3) unit vectors
     u: np.ndarray                 # (rows, cols) bipolar inputs
     templates: TemplateSet
-    step_index: int = 0
-
-    @property
-    def rows(self) -> int:
-        return self.m.shape[0]
-
-    @property
-    def cols(self) -> int:
-        return self.m.shape[1]
 
     @classmethod
     def from_pattern(cls, initial: Pattern, inputs: Pattern,
@@ -109,62 +99,40 @@ class Trajectory:
         return self.convergence_time is not None
 
 
-def _pad(arr: np.ndarray, boundary: str) -> np.ndarray:
-    if boundary == BOUNDARY_ZERO_FLUX:
-        return np.pad(arr, 1, mode="edge")
-    return np.pad(arr, 1, mode="constant", constant_values=-1.0)
-
-
-def _template_drive(y: np.ndarray, u: np.ndarray, templates: TemplateSet,
-                    boundary: str) -> np.ndarray:
-    """Per-cell weighted sum of neighbor outputs/inputs plus bias."""
-    rows, cols = y.shape
-    A, B, I = templates.per_cell(rows, cols)
-    yp = _pad(y, boundary)
-    up = _pad(u, boundary)
-    acc = np.array(np.broadcast_to(I, (rows, cols)), dtype=float, copy=True)
-    for dr in range(3):
-        for dc in range(3):
-            a = A[:, :, dr, dc]
-            b = B[:, :, dr, dc]
-            if np.any(a):
-                acc += a * yp[dr:dr + rows, dc:dc + cols]
-            if np.any(b):
-                acc += b * up[dr:dr + rows, dc:dc + cols]
-    return acc
-
-
-def _currents_from_outputs(y: np.ndarray, grid: CnnGrid,
-                           model: CellModel) -> np.ndarray:
-    weights = _template_drive(y, grid.u, grid.templates, model.boundary)
+def _currents(W, c, y: np.ndarray, model: CellModel) -> np.ndarray:
+    """Net spin currents [A] for logic outputs y under the drive W @ y + c."""
+    weights = (W @ y.reshape(-1) + c).reshape(y.shape)
     return model.i0 * weights * model.delivery_factor
 
 
 def net_currents(grid: CnnGrid, model: CellModel) -> np.ndarray:
     """Net perpendicular spin current per neuron [A] at the current state."""
     y = np.where(grid.m[:, :, 2] > model.logic_boundary_mz, 1.0, -1.0)
-    return _currents_from_outputs(y, grid, model)
+    W, c = template_operator(grid.templates, grid.u, model.boundary)
+    return _currents(W, c, y, model)
 
 
 class GridStepper:
     """Advances one grid in place; built once per run, one call per step.
 
     Holds the magnets in a `dynamics.GridHeun` (`mz` is a live view of
-    m_z), the thermal sigma (the dt guard is checked once) and one Philox
-    generator keyed by (seed, STREAM_LLG); the logic boundary and the
-    delivery factor are cached on the `CellModel`. Resetting the counter
-    to n before step n's draw gives the bits of make_rng(seed, STREAM_LLG,
-    n); the sample is drawn into a reused (rows, cols, 3) buffer.
+    m_z), the template operator (W, c), the thermal sigma (the dt guard is
+    checked once) and one Philox generator keyed by (seed, STREAM_LLG); the
+    logic boundary and the delivery factor are cached on the `CellModel`.
+    Step n, counted from 0, resets the counter to n before its draw, which
+    gives the bits of make_rng(seed, STREAM_LLG, n); the sample is drawn
+    into a reused (rows, cols, 3) buffer.
     """
 
     def __init__(self, grid: CnnGrid, cfg: SimConfig, model: CellModel):
         if cfg.dt > dynamics.MAX_DT:
             raise ValueError(f"dt = {cfg.dt} exceeds stability guard {dynamics.MAX_DT}")
-        self.grid, self.model = grid, model
+        self.model = model
+        self.W, self.c = template_operator(grid.templates, grid.u, model.boundary)
         self.sigma = dynamics.thermal_sigma(model.magnet, cfg.temperature, cfg.dt)
         self.heun = dynamics.GridHeun(grid.m, model.magnet, cfg.dt)
         self.mz = self.heun.m[2]
-        self.step_index = grid.step_index
+        self.step_index = 0
         self.noise = np.zeros(grid.m.shape)
         self.noise_by_component = self.noise.transpose(2, 0, 1)
         self.rng = make_rng(cfg.seed, STREAM_LLG)
@@ -176,7 +144,7 @@ class GridStepper:
 
     def currents(self, y: np.ndarray) -> np.ndarray:
         """Net spin currents [A] for logic outputs y."""
-        return _currents_from_outputs(y, self.grid, self.model)
+        return _currents(self.W, self.c, y, self.model)
 
     def advance(self, torque) -> None:
         """One synchronous LLG step of every magnet under `torque`."""
@@ -187,20 +155,6 @@ class GridStepper:
             self.noise *= self.sigma
         self.heun.step(torque, self.noise_by_component)
         self.step_index += 1
-
-    def to_grid(self) -> CnnGrid:
-        return CnnGrid(self.heun.magnetization(), self.grid.u,
-                       self.grid.templates, self.step_index)
-
-
-def step(grid: CnnGrid, cfg: SimConfig, model: CellModel,
-         currents: np.ndarray | None = None) -> CnnGrid:
-    """One synchronous update; outputs for step n+1 use magnetizations
-    from step n."""
-    stepper = GridStepper(grid, cfg, model)
-    Is = net_currents(grid, model) if currents is None else currents
-    stepper.advance(dynamics.stt_rate(model.magnet, Is))
-    return stepper.to_grid()
 
 
 def _settled(mz: np.ndarray, Is: np.ndarray, cfg: SimConfig) -> bool:
@@ -223,8 +177,8 @@ def run(grid: CnnGrid, cfg: SimConfig, model: CellModel) -> Trajectory:
     net spin current opposes its magnetization. A start that is already
     settled with hold_time = 0 returns at once with the initial frame.
     All steps go through one `GridStepper`, and the drive is rebuilt only
-    when some logic output flips, so the result equals `step` applied
-    n_steps times bit for bit.
+    when some logic output flips, so the result equals, bit for bit,
+    rebuilding it after every step.
     """
     s = GridStepper(grid, cfg, model)
     times = [0.0]
@@ -293,18 +247,17 @@ def hebbian_train(pairs: list[tuple[Pattern, Pattern]],
     if len(shapes) != 1:
         raise ValueError("all training patterns must share one shape")
     rows, cols = shapes.pop()
-    A = np.zeros((rows, cols, 3, 3))
-    B = np.zeros((rows, cols, 3, 3))
+    n = rows * cols
+    idx = neighbour_index(rows, cols, BOUNDARY_MINUS_ONE)
+    A = np.zeros((n, 9))
+    B = np.zeros((n, 9))
     for cue, target in pairs:
-        c = np.pad(cue.to_array().astype(float), 1, constant_values=-1.0)
-        t = target.to_array().astype(float)
-        for dr in range(3):
-            for dc in range(3):
-                tp = np.pad(t, 1, constant_values=-1.0)
-                A[:, :, dr, dc] += t * tp[dr:dr + rows, dc:dc + cols]
-                B[:, :, dr, dc] += t * c[dr:dr + rows, dc:dc + cols]
-    A /= len(pairs)
-    B /= len(pairs)
+        c = np.append(cue.to_array(), -1.0)
+        t = np.append(target.to_array(), -1.0)
+        A += t[:n, None] * t[idx]
+        B += t[:n, None] * c[idx]
+    A = A.reshape(rows, cols, 3, 3) / len(pairs)
+    B = B.reshape(rows, cols, 3, 3) / len(pairs)
     I = np.zeros((rows, cols))
     if quantize:
         A = quantize_templates(A)

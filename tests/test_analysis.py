@@ -7,7 +7,7 @@ import pytest
 from spincnn import load_glyph
 from spincnn.analysis import (CSV_HEADER, EnergyBreakdown, EnergyParams,
                               Scenario, ScenarioHardware, SweepRecord,
-                              aggregate, cmos_sweep, compare, idle_power,
+                              aggregate, cmos_sweep, compare,
                               pareto, records_to_csv, spin_area, spin_energy)
 from spincnn.cmos import AmplifierModel
 from spincnn.core import Pattern
@@ -200,13 +200,6 @@ class TestScenario:
         assert len(recs) == 2
         assert recs[1]["delay"] == pytest.approx(10e-9)
         assert recs[0]["energy"] > 0
-
-
-def test_idle_power_nonvolatile_vs_sram():
-    amp = AmplifierModel()
-    p = idle_power(NF_HW, 600, amp)
-    assert p["spin_W"] == 0.0
-    assert p["cmos_W"] == pytest.approx(600 * 5 * amp.sram_retention)
 
 
 def test_csv_header_and_formatting():

@@ -4,10 +4,11 @@ power/delay model, and the transistor-width area rule."""
 import numpy as np
 import pytest
 
-from spincnn.cmos import (AmplifierModel, ChuaParams, cell_derivative,
+from spincnn.cmos import (AmplifierModel, ChuaParams, _grid_derivative,
                           cmos_area, cmos_energy, cmos_noise_filter_templates,
                           cmos_power_delay, f_output, integrate)
-from spincnn.core import TemplateSet, add_noise
+from spincnn.core import (BOUNDARY_MINUS_ONE, TemplateSet, add_noise,
+                          template_operator)
 from spincnn import load_glyph
 
 ZERO_T = TemplateSet(np.zeros((3, 3)), np.zeros((3, 3)), 0.0)
@@ -27,26 +28,63 @@ class TestOutputFunction:
         assert np.all(ys >= -1.0 - eps) and np.all(ys <= 1.0 + eps)
 
 
+def derivative(x, u, templates):
+    """dx/dt of the whole grid, shaped like x, with the -1 border."""
+    W, c = template_operator(templates, u, BOUNDARY_MINUS_ONE)
+    return _grid_derivative(x.reshape(-1), W, c, P).reshape(x.shape)
+
+
+def reference_derivative(x, u, templates):
+    """The grid derivative as a padded slice loop over the nine offsets."""
+    rows, cols = x.shape
+    A, B, I = templates.per_cell(rows, cols)
+    yp = np.pad(f_output(x), 1, constant_values=-1.0)
+    up = np.pad(u, 1, constant_values=-1.0)
+    acc = np.array(np.broadcast_to(I, (rows, cols)), dtype=float, copy=True)
+    for dr in range(3):
+        for dc in range(3):
+            acc += A[:, :, dr, dc] * yp[dr:dr + rows, dc:dc + cols]
+            acc += B[:, :, dr, dc] * up[dr:dr + rows, dc:dc + cols]
+    return (-x / P.R + acc) / P.C
+
+
 class TestCellDerivative:
     def test_homogeneous_decay(self):
         x = np.full((3, 3), 0.8)
         u = np.zeros((3, 3))
-        d = cell_derivative(x, u, (1, 1), ZERO_T, P)
+        d = derivative(x, u, ZERO_T)[1, 1]
         assert d == pytest.approx(-0.8 / (P.R * P.C), rel=1e-12)
 
     def test_template_drive_added(self):
         t = cmos_noise_filter_templates()
         x = np.full((3, 3), 2.0)  # all outputs saturated at +1
         u = np.zeros((3, 3))
-        d = cell_derivative(x, u, (1, 1), t, P)
+        d = derivative(x, u, t)[1, 1]
         # -x/R + (center 2 + four cross neighbors) = -2 + 6
         assert d == pytest.approx(4.0, rel=1e-12)
 
     def test_fixed_point_has_zero_derivative(self):
         t = TemplateSet(np.zeros((3, 3)), np.zeros((3, 3)), 1.5)
         x = np.full((3, 3), 1.5 * P.R)
-        d = cell_derivative(x, np.zeros((3, 3)), (1, 1), t, P)
+        d = derivative(x, np.zeros((3, 3)), t)[1, 1]
         assert d == pytest.approx(0.0, abs=1e-12)
+
+    @pytest.mark.parametrize("shape", [(30, 20), (6, 5), (1, 4), (1, 1)])
+    def test_matches_slice_loop(self, shape):
+        # continuous x, u and weights: the summation order differs, so
+        # agreement is to a relative 1e-12 of the largest derivative
+        rng = np.random.default_rng(31)
+        templates = [cmos_noise_filter_templates(),
+                     TemplateSet(rng.normal(size=shape + (3, 3)),
+                                 rng.normal(size=shape + (3, 3)),
+                                 rng.normal(size=shape))]
+        for t in templates:
+            for _ in range(20):
+                x = rng.normal(scale=1.5, size=shape)
+                u = rng.uniform(-1.0, 1.0, size=shape)
+                ref = reference_derivative(x, u, t)
+                err = np.max(np.abs(derivative(x, u, t) - ref))
+                assert err <= 1e-12 * np.max(np.abs(ref))
 
 
 class TestIntegrate:

@@ -13,7 +13,7 @@ from spincnn.core import STREAM_SWITCH, MagnetParams, SimConfig, make_rng
 from spincnn.dynamics import (MAX_DT, analytic_critical_current,
                               critical_spin_current, effective_field,
                               heun_step, llg_step, stt_rate, switch_times,
-                              thermal_field_sample, thermal_sigma)
+                              thermal_sigma)
 
 P = MagnetParams()
 RNG = np.random.default_rng  # only for test-local inputs, never for physics
@@ -48,7 +48,11 @@ class TestThermalField:
         assert expected == pytest.approx(18193.8, rel=1e-4)
 
     def test_zero_temperature_sample_is_zero(self):
-        assert np.all(thermal_field_sample(P, 0.0, 1e-12, make_rng(0, 3)) == 0.0)
+        m = np.array([0.6, 0.0, 0.8])
+        Is = 2 * analytic_critical_current(P)
+        out = llg_step(m, P, Is, 0.0, 1e-12, make_rng(0, 3))
+        ref = heun_step(m, P, stt_rate(P, Is), np.zeros(3), 1e-12)
+        assert np.array_equal(out, ref)
 
     def test_sample_mean_small(self):
         rng = make_rng(12, 3)

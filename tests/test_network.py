@@ -9,10 +9,11 @@ from spincnn.core import (STREAM_LLG, MagnetParams, Pattern, SimConfig,
                           TemplateSet, add_noise, make_rng)
 from spincnn.dynamics import (analytic_critical_current, heun_step, stt_rate,
                               thermal_sigma)
-from spincnn.network import (BOUNDARY_ZERO_FLUX, CellModel, CnnGrid,
-                             hebbian_train, load_templates, net_currents,
+from spincnn.network import (BOUNDARY_MINUS_ONE, BOUNDARY_ZERO_FLUX,
+                             CellModel, CnnGrid, GridStepper, hebbian_train,
+                             load_templates, net_currents,
                              noise_filter_templates, quantize_templates, run,
-                             run_associative, save_templates, step)
+                             run_associative, save_templates)
 
 IC = analytic_critical_current(MagnetParams())
 MODEL = CellModel(i0=10 * IC)
@@ -73,33 +74,30 @@ class TestNetCurrents:
         assert np.all(Is > 0)
 
 
+def steps(grid, cfg, model, n):
+    """Magnetizations after n synchronous steps of one `GridStepper`, each
+    under the currents of the outputs read before it."""
+    s = GridStepper(grid, cfg, model)
+    for _ in range(n):
+        s.advance(stt_rate(model.magnet, s.currents(s.outputs())))
+    return np.moveaxis(s.heun.m[:3], 0, -1)
+
+
 class TestStep:
     CFG = SimConfig(seed=9)
 
     def test_determinism_at_finite_temperature(self):
-        g1 = step(grid_of(load_glyph("zero")), self.CFG, MODEL)
-        g2 = step(grid_of(load_glyph("zero")), self.CFG, MODEL)
-        assert np.array_equal(g1.m, g2.m)
-
-    def test_explicit_currents_match_recomputed(self):
-        g = grid_of(load_glyph("zero"))
-        a = step(g, self.CFG, MODEL)
-        b = step(g, self.CFG, MODEL, currents=net_currents(g, MODEL))
-        assert np.array_equal(a.m, b.m)
-
-    def test_step_index_advances(self):
-        g = grid_of(solid(3, 3))
-        assert step(g, self.CFG, MODEL).step_index == 1
+        m1 = steps(grid_of(load_glyph("zero")), self.CFG, MODEL, 1)
+        m2 = steps(grid_of(load_glyph("zero")), self.CFG, MODEL, 1)
+        assert np.array_equal(m1, m2)
 
     def test_dt_guard(self):
         with pytest.raises(ValueError, match="stability guard"):
-            step(grid_of(solid(3, 3)), SimConfig(dt=2e-11), MODEL)
+            GridStepper(grid_of(solid(3, 3)), SimConfig(dt=2e-11), MODEL)
 
     def test_norms_preserved(self):
-        g = grid_of(load_glyph("zero"))
-        for _ in range(5):
-            g = step(g, self.CFG, MODEL)
-        assert np.allclose(np.linalg.norm(g.m, axis=-1), 1.0, atol=1e-9)
+        m = steps(grid_of(load_glyph("zero")), self.CFG, MODEL, 5)
+        assert np.allclose(np.linalg.norm(m, axis=-1), 1.0, atol=1e-9)
 
     def test_reflection_symmetry_zero_temperature(self):
         # rotating every magnet by pi about x (mz, my negated) and negating
@@ -120,11 +118,10 @@ class TestStep:
         m2[:, :, 1] *= -1
         m2[:, :, 2] *= -1
         g2 = CnnGrid(m2, -base, t)
-        for _ in range(50):
-            g1 = step(g1, cfg, model)
-            g2 = step(g2, cfg, model)
-        assert np.allclose(g2.m[:, :, 2], -g1.m[:, :, 2], atol=1e-12)
-        assert np.allclose(g2.m[:, :, 0], g1.m[:, :, 0], atol=1e-12)
+        m1 = steps(g1, cfg, model, 50)
+        m2 = steps(g2, cfg, model, 50)
+        assert np.allclose(m2[:, :, 2], -m1[:, :, 2], atol=1e-12)
+        assert np.allclose(m2[:, :, 0], m1[:, :, 0], atol=1e-12)
 
 
 class TestRun:
@@ -327,3 +324,81 @@ def test_run_is_bit_identical_to_reference_loop(boundary, temperature, app):
     assert np.array_equal(traj.mz, frames)
     assert traj.convergence_time == conv
     assert traj.final_pattern == final
+
+
+def reference_drive(y, u, templates, boundary):
+    """The 3x3 template sum written as a padded slice loop over the nine
+    offsets: sum(A y_neighbours) + sum(B u_neighbours) + I per cell."""
+    rows, cols = y.shape
+    A, B, I = templates.per_cell(rows, cols)
+
+    def pad(arr):
+        if boundary == BOUNDARY_ZERO_FLUX:
+            return np.pad(arr, 1, mode="edge")
+        return np.pad(arr, 1, mode="constant", constant_values=-1.0)
+
+    yp, up = pad(y), pad(u)
+    acc = np.array(np.broadcast_to(I, (rows, cols)), dtype=float, copy=True)
+    for dr in range(3):
+        for dc in range(3):
+            acc += A[:, :, dr, dc] * yp[dr:dr + rows, dc:dc + cols]
+            acc += B[:, :, dr, dc] * up[dr:dr + rows, dc:dc + cols]
+    return acc
+
+
+def reference_hebbian(pairs):
+    """Unquantized Hebbian weights from a padded slice loop, -1 outside."""
+    rows, cols = pairs[0][0].rows, pairs[0][0].cols
+    A = np.zeros((rows, cols, 3, 3))
+    B = np.zeros((rows, cols, 3, 3))
+    for cue, target in pairs:
+        c = np.pad(cue.to_array().astype(float), 1, constant_values=-1.0)
+        t = target.to_array().astype(float)
+        tp = np.pad(t, 1, constant_values=-1.0)
+        for dr in range(3):
+            for dc in range(3):
+                A[:, :, dr, dc] += t * tp[dr:dr + rows, dc:dc + cols]
+                B[:, :, dr, dc] += t * c[dr:dr + rows, dc:dc + cols]
+    return A / len(pairs), B / len(pairs)
+
+
+def random_pattern(rng, shape):
+    return Pattern.from_array(rng.choice([-1, 1], size=shape))
+
+
+@pytest.mark.parametrize("shape", [(30, 20), (6, 5), (1, 4), (1, 1)])
+@pytest.mark.parametrize("boundary", [BOUNDARY_MINUS_ONE, BOUNDARY_ZERO_FLUX])
+@pytest.mark.parametrize("app", ["cross", "hebbian"])
+def test_operator_drive_equals_slice_loop(shape, boundary, app):
+    # weights are multiples of 1/4 and y, u = +-1, so equality is exact
+    from dataclasses import replace
+    rng = np.random.default_rng(17)
+    u = random_pattern(rng, shape)
+    if app == "cross":
+        templates = noise_filter_templates()
+    else:
+        templates = hebbian_train([(u, random_pattern(rng, shape)),
+                                   (random_pattern(rng, shape), u)])
+    model = replace(MODEL, boundary=boundary)
+    stepper = GridStepper(grid_of(u, templates), SimConfig(), model)
+    for _ in range(200):
+        m = rng.normal(size=shape + (3,))
+        m /= np.linalg.norm(m, axis=-1, keepdims=True)
+        grid = CnnGrid(m, u.to_array().astype(float), templates)
+        y = np.where(m[:, :, 2] > model.logic_boundary_mz, 1.0, -1.0)
+        expected = model.i0 * reference_drive(y, grid.u, templates, boundary) \
+            * model.delivery_factor
+        assert np.array_equal(net_currents(grid, model), expected)
+        assert np.array_equal(stepper.currents(y), expected)
+
+
+@pytest.mark.parametrize("shape", [(30, 20), (6, 5), (1, 4), (1, 1)])
+@pytest.mark.parametrize("n_pairs", [1, 2, 3])
+def test_hebbian_weights_equal_slice_loop(shape, n_pairs):
+    rng = np.random.default_rng(23)
+    pairs = [(random_pattern(rng, shape), random_pattern(rng, shape))
+             for _ in range(n_pairs)]
+    t = hebbian_train(pairs, quantize=False)
+    A, B = reference_hebbian(pairs)
+    assert np.array_equal(t.A, A)
+    assert np.array_equal(t.B, B)

@@ -226,19 +226,10 @@ def cmd_train(args, argv: list[str]) -> int:
 # ---------------------------------------------------------------------------
 # sweep
 
-def _float_list(text: str, flag: str) -> list[float]:
+def _list(text: str, flag: str, kind) -> list:
+    """Comma-separated values of `kind`."""
     try:
-        values = [float(v) for v in text.split(",") if v.strip()]
-    except ValueError as exc:
-        raise CliError(f"{flag}: {exc}") from exc
-    if not values:
-        raise CliError(f"{flag}: empty list")
-    return values
-
-
-def _int_list(text: str, flag: str) -> list[int]:
-    try:
-        values = [int(v) for v in text.split(",") if v.strip()]
+        values = [kind(v) for v in text.split(",") if v.strip()]
     except ValueError as exc:
         raise CliError(f"{flag}: {exc}") from exc
     if not values:
@@ -294,9 +285,9 @@ def _comparison_report(report: dict, scenario: Scenario) -> str:
 
 def cmd_sweep(args, argv: list[str]) -> int:
     full, digest = _load_config(args.config)
-    voltages = _float_list(args.voltages, "--voltages")
-    sizes = _int_list(args.sizes, "--sizes")
-    seeds = _int_list(args.seeds, "--seeds")
+    voltages = _list(args.voltages, "--voltages", float)
+    sizes = _list(args.sizes, "--sizes", int)
+    seeds = _list(args.seeds, "--seeds", int)
     if len(voltages) < 3:
         raise CliError("--voltages: need at least 3 sweep voltages")
     if args.jobs < 1:

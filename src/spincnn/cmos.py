@@ -11,6 +11,13 @@ it. The output function is the standard piecewise-linear saturation
 0.5 (|x+1| - |x-1|). The neighbour sums are W @ y + c from
 `core.template_operator`, built once per run, so B u + I is computed once.
 
+A run stops through `core.settle`, the hold-and-sample loop of the
+spintronic grid, once every cell is settled: |x| >= 1 and
+sign(x) R (W f(x) + c) >= 1. With every output saturated the drive
+W f(x) + c is constant, so each x relaxes monotonically towards R times
+it; the rule therefore proves that no output changes again, where
+|x| >= 1 alone would accept a saturated cell whose drive pulls it back.
+
 The power/delay numbers are NOT derived from circuit simulation: they are
 a two-parameter calibration (P_0, delay_0 per cell at unit bias) chosen to
 reproduce the published trade-off shape, and every report produced from
@@ -23,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import BOUNDARY_MINUS_ONE, TemplateSet, template_operator
+from .core import BOUNDARY_MINUS_ONE, TemplateSet, settle, template_operator
 
 
 @dataclass(frozen=True)
@@ -78,10 +85,12 @@ def _grid_derivative(x: np.ndarray, W, c: np.ndarray,
 def integrate(x0: np.ndarray, u: np.ndarray, templates, p: ChuaParams,
               dt: float, t_max: float, hold_time: float = 0.0,
               sample_interval: float | None = None):
-    """RK4 integration of the grid; converges when all |x| >= 1 stably.
+    """RK4 integration of the grid until it has stayed settled (see the
+    module docstring) for hold_time, or t_max; frames every
+    sample_interval, by default every step.
 
     Returns (times, states, convergence_time); convergence_time is None
-    when the hold condition is never met before t_max.
+    when the hold is never met before t_max.
     """
     if dt > p.tau / 10.0:
         raise ValueError(f"dt = {dt} exceeds stability guard tau/10 = {p.tau / 10}")
@@ -93,33 +102,22 @@ def integrate(x0: np.ndarray, u: np.ndarray, templates, p: ChuaParams,
     def f(state):
         return _grid_derivative(state, W, c, p)
 
-    times = [0.0]
-    states = [x.copy()]
-    hold_steps = max(int(round(hold_time / dt)), 0)
-    ok_run = 1 if np.all(np.abs(x) >= 1.0) else 0
-    conv_time = None
-    if hold_steps == 0 and ok_run:
-        conv_time = 0.0
-    n_steps = int(round(t_max / dt))
-    sample_every = max(int(round((sample_interval or dt) / dt)), 1)
-    for step in range(1, n_steps + 1):
+    def step():
+        nonlocal x
         k1 = f(x)
         k2 = f(x + 0.5 * dt * k1)
         k3 = f(x + 0.5 * dt * k2)
         k4 = f(x + dt * k3)
         x = x + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        t = step * dt
-        if step % sample_every == 0 or step == n_steps:
-            times.append(t)
-            states.append(x.copy())
-        if np.all(np.abs(x) >= 1.0):
-            ok_run += 1
-            if conv_time is None and ok_run > hold_steps:
-                conv_time = t
-                break
-        else:
-            ok_run = 0
-    return np.array(times), np.array(states).reshape((-1,) + shape), conv_time
+
+    def settled():
+        if not np.all(np.abs(x) >= 1.0):
+            return False
+        return bool(np.all(np.sign(x) * p.R * (W @ f_output(x) + c) >= 1.0))
+
+    times, states, conv_time = settle(step, settled, lambda: x.copy(), dt,
+                                      t_max, hold_time, sample_interval or dt)
+    return times, states.reshape((-1,) + shape), conv_time
 
 
 def cmos_noise_filter_templates():

@@ -9,13 +9,13 @@ table uses the form `iv = (v1,i1);(v2,i2);...`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 
 from .analysis import EnergyParams
 from .cmos import AmplifierModel
 from .core import MagnetParams, SimConfig
 from .network import BOUNDARY_MINUS_ONE, BOUNDARY_ZERO_FLUX, CellModel
-from .readpath import InverterModel, MtjParams
+from .readpath import InverterModel, MtjParams, logic_mz_boundary
 from .synapse import DriveModel
 from .transport import ChannelParams
 
@@ -50,14 +50,10 @@ class FullConfig:
     amplifier: AmplifierModel = field(default_factory=AmplifierModel)
     energy: EnergyParams = field(default_factory=EnergyParams)
     boundary: str = BOUNDARY_MINUS_ONE
-    explicit: frozenset = frozenset()   # (section, key) pairs set in the text
 
     def cell_model(self, i0: float) -> CellModel:
         return CellModel(self.magnet, self.channel, self.mtj, self.inverter,
                          i0, self.boundary)
-
-    def was_set(self, section: str, key: str) -> bool:
-        return (section, key) in self.explicit
 
 
 def _float(s: str) -> float:
@@ -106,8 +102,7 @@ _SCHEMA = {
     "channel": {
         "length": ("L", _float), "l_sf": ("l_sf", _float),
         "sigma": ("sigma", _float), "cross_section": ("cross_section", _float),
-        "beta": ("beta", _float), "r_ground": ("R_ground", _float),
-        "ground_spin_sink": ("ground_spin_sink", _float),
+        "beta": ("beta", _float), "ground_spin_sink": ("ground_spin_sink", _float),
     },
     "mtj": {
         "t_ox_ref": ("t_ox_ref", _float), "t_ox_read": ("t_ox_read", _float),
@@ -119,9 +114,8 @@ _SCHEMA = {
         "v_dd": ("V_dd", _float), "gain": ("gain", _float),
         "v_th": ("V_th", _float),
     },
+    # the sweep sets the drive voltage and the driver size of every point
     "drive_model": {
-        "v_drive": ("V_drive", _float),
-        "size": ("size_multiplier", _int),
         "iv": ("iv_table", _iv_table),
     },
     "drive": {
@@ -135,25 +129,16 @@ _SCHEMA = {
     "energy": {
         "c_gate_unit": ("c_gate_unit", _float),
         "inverter_leakage": ("inverter_leakage", _float),
-        "feature_size": ("feature_size", _float),
-        "min_width_f": ("min_width_f", _float),
     },
     "network": {
         "boundary": ("boundary", _boundary),
     },
 }
 
-_TARGETS = {
-    "sim": "sim", "magnet": "magnet", "channel": "channel", "mtj": "mtj",
-    "inverter": "inverter", "drive_model": "drive_model", "drive": "drive",
-    "amplifier": "amplifier", "energy": "energy",
-}
-
 
 def parse_config(text: str) -> FullConfig:
     """Parse sectioned key=value text into a validated FullConfig."""
     overrides: dict[str, dict] = {sec: {} for sec in _SCHEMA}
-    explicit = set()
     section = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -179,16 +164,21 @@ def parse_config(text: str) -> FullConfig:
             overrides[section][field_name] = conv(value)
         except ValueError as exc:
             raise ConfigError(f"line {lineno}: bad value for {key!r}: {exc}") from exc
-        explicit.add((section, key))
 
-    cfg = FullConfig(explicit=frozenset(explicit))
-    parts = {}
-    for section, target in _TARGETS.items():
-        base = getattr(cfg, target)
+    # [network] sets FullConfig's own fields; every other section one part
+    parts = overrides.pop("network")
+    defaults = FullConfig()
+    for section, values in overrides.items():
         try:
-            parts[target] = replace(base, **overrides[section]) if overrides[section] else base
+            parts[section] = replace(getattr(defaults, section), **values)
         except ValueError as exc:
             raise ConfigError(f"[{section}]: {exc}") from exc
-    boundary = overrides["network"].get("boundary", BOUNDARY_MINUS_ONE)
-    return FullConfig(boundary=boundary, explicit=frozenset(explicit), **parts)
-
+    cfg = FullConfig(**parts)
+    try:
+        b = logic_mz_boundary(cfg.mtj, cfg.inverter)
+    except ValueError as exc:
+        raise ConfigError(f"[mtj]: {exc}") from exc
+    if not -1.0 < b < 1.0:
+        raise ConfigError(f"[inverter] v_th: logic boundary at m_z = {b:.4g} "
+                          "with this [mtj] read stack, outside (-1, 1)")
+    return cfg

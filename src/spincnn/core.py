@@ -1,5 +1,5 @@
-"""Shared domain types, pattern I/O, seeded noise injection and the 3x3
-neighbourhood operator of the CNN template sum.
+"""Shared domain types, pattern I/O, seeded noise injection, the 3x3
+neighbourhood operator of the CNN template sum and the settle loop.
 
 Pixel convention, used everywhere in the package: +1 = black = magnetization
 pointing up (+z), -1 = white = magnetization pointing down (-z).
@@ -97,13 +97,6 @@ class Pattern:
     def to_array(self) -> np.ndarray:
         return np.array(self.pixels, dtype=np.int8).reshape(self.rows, self.cols)
 
-    def __eq__(self, other):
-        return (isinstance(other, Pattern) and self.rows == other.rows
-                and self.cols == other.cols and self.pixels == other.pixels)
-
-    def __hash__(self):
-        return hash((self.rows, self.cols, self.pixels))
-
 
 @dataclass(frozen=True)
 class TemplateSet:
@@ -197,6 +190,36 @@ def template_operator(templates: TemplateSet, u: np.ndarray,
     return W, c
 
 
+def settle(step, settled, frame, dt: float, t_max: float, hold_time: float,
+           sample_interval: float):
+    """Call `step()` until `settled()` has held for hold_time, or t_max.
+
+    The start counts toward the hold, so a settled start with hold_time = 0
+    returns at once with its one frame. A `frame()` is taken at t = 0,
+    every sample interval, at t_max and at convergence. Returns (times,
+    frames, convergence_time); convergence_time is None when the hold is
+    never met.
+    """
+    times, frames = [0.0], [frame()]
+    sample_every = max(int(round(sample_interval / dt)), 1)
+    hold_steps = max(int(round(hold_time / dt)), 0)
+    n_steps = int(round(t_max / dt))
+    held = 1 if settled() else 0
+    conv_time = 0.0 if held > hold_steps else None
+    n = 0
+    while conv_time is None and n < n_steps:
+        step()
+        n += 1
+        t = n * dt
+        held = held + 1 if settled() else 0
+        if held > hold_steps:
+            conv_time = t
+        if n % sample_every == 0 or n == n_steps or conv_time is not None:
+            times.append(t)
+            frames.append(frame())
+    return np.array(times), np.array(frames), conv_time
+
+
 @dataclass(frozen=True)
 class SimConfig:
     """Time stepping, temperature and convergence-detection settings."""
@@ -220,6 +243,8 @@ class SimConfig:
             raise ValueError("mz_threshold must be in (0, 1)")
         if self.hold_time < 0:
             raise ValueError("hold_time must be >= 0")
+        if self.sample_interval <= 0:
+            raise ValueError("sample_interval must be > 0")
 
 
 # ---------------------------------------------------------------------------

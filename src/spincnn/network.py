@@ -8,12 +8,14 @@ noise is drawn from a counter-based stream keyed by (seed, step), so
 trajectories are bit-reproducible regardless of evaluation order.
 
 `run` steps the grid through one `GridStepper`, which keeps the magnets in
-the component-first layout of `dynamics.GridHeun` and steps them in place.
-The template drive of every cell is W @ y + c, from the operator that
-`core.template_operator` builds once per run. Bit-identity contract: every
-trajectory equals, bit for bit, the plain loop of `dynamics.heun_step` on
-the (rows, cols, 3) layout, with one make_rng(seed, STREAM_LLG, n) draw per
-step n and `net_currents` rebuilt from the logic outputs.
+the component-first layout of `dynamics.GridHeun` and steps them in place,
+and `core.settle` decides when it has settled. The template drive of every
+cell is W @ y + c, from the operator that `core.template_operator` builds
+once per run, rebuilt only when a logic output flips. Bit-identity
+contract: every trajectory equals, bit for bit, the plain loop of
+`dynamics.heun_step` on the (rows, cols, 3) layout, with one
+make_rng(seed, STREAM_LLG, n) draw per step n and `net_currents` rebuilt
+from the logic outputs after every step.
 """
 
 from __future__ import annotations
@@ -26,9 +28,10 @@ import numpy as np
 from . import dynamics
 from .core import (BOUNDARY_MINUS_ONE, BOUNDARY_ZERO_FLUX, STREAM_LLG,
                    MagnetParams, Pattern, SimConfig, TemplateSet, make_rng,
-                   neighbour_index, template_operator)
+                   neighbour_index, settle, template_operator)
 from .readpath import InverterModel, MtjParams, logic_mz_boundary
-from .synapse import LEVELS_PER_UNIT_WEIGHT, quantize_weight
+from .synapse import (LEVELS_PER_UNIT_WEIGHT, quantize_weight,
+                      representable_weights)
 from .transport import ChannelParams, spin_transmission
 
 
@@ -61,7 +64,10 @@ class CellModel:
 
 @dataclass
 class CnnGrid:
-    """Mutable network state: per-cell magnetization and fixed inputs."""
+    """Initial network state: per-cell magnetization and fixed inputs.
+
+    `run` steps a copy of `m`, so a grid can start any number of runs.
+    """
 
     m: np.ndarray                 # (rows, cols, 3) unit vectors
     u: np.ndarray                 # (rows, cols) bipolar inputs
@@ -121,13 +127,16 @@ class GridStepper:
     logic boundary and the delivery factor are cached on the `CellModel`.
     Step n, counted from 0, resets the counter to n before its draw, which
     gives the bits of make_rng(seed, STREAM_LLG, n); the sample is drawn
-    into a reused (rows, cols, 3) buffer.
+    into a reused (rows, cols, 3) buffer. `y`, `Is` and `torque` hold the
+    logic outputs and the drive they give; `step` rebuilds the drive only
+    when some output flips.
     """
 
     def __init__(self, grid: CnnGrid, cfg: SimConfig, model: CellModel):
         if cfg.dt > dynamics.MAX_DT:
             raise ValueError(f"dt = {cfg.dt} exceeds stability guard {dynamics.MAX_DT}")
         self.model = model
+        self.mz_threshold = cfg.mz_threshold
         self.W, self.c = template_operator(grid.templates, grid.u, model.boundary)
         self.sigma = dynamics.thermal_sigma(model.magnet, cfg.temperature, cfg.dt)
         self.heun = dynamics.GridHeun(grid.m, model.magnet, cfg.dt)
@@ -137,6 +146,8 @@ class GridStepper:
         self.noise_by_component = self.noise.transpose(2, 0, 1)
         self.rng = make_rng(cfg.seed, STREAM_LLG)
         self.rng_state = self.rng.bit_generator.state
+        self.y = self.outputs()
+        self._drive()
 
     def outputs(self) -> np.ndarray:
         """Bipolar logic outputs read from the current magnetizations."""
@@ -145,6 +156,10 @@ class GridStepper:
     def currents(self, y: np.ndarray) -> np.ndarray:
         """Net spin currents [A] for logic outputs y."""
         return _currents(self.W, self.c, y, self.model)
+
+    def _drive(self) -> None:
+        self.Is = self.currents(self.y)
+        self.torque = dynamics.stt_rate(self.model.magnet, self.Is)
 
     def advance(self, torque) -> None:
         """One synchronous LLG step of every magnet under `torque`."""
@@ -156,70 +171,42 @@ class GridStepper:
         self.heun.step(torque, self.noise_by_component)
         self.step_index += 1
 
+    def step(self) -> None:
+        """Advance under the current drive, then rebuild the drive if some
+        logic output flipped: the same bits as rebuilding it every step."""
+        self.advance(self.torque)
+        y = self.outputs()
+        if (y != self.y).any():
+            self.y = y
+            self._drive()
 
-def _settled(mz: np.ndarray, Is: np.ndarray, cfg: SimConfig) -> bool:
-    """All magnets saturated and no net current opposes its magnet.
+    def settled(self) -> bool:
+        """All magnets saturated and no net current opposes its magnet.
 
-    The torque-consistency clause distinguishes a genuine fixed point from
-    the slow early escape from the pole, where a driven magnet still sits
-    at |m_z| > threshold, and keeps sub-critically driven wrong pixels
-    reported as non-converged.
-    """
-    if not (np.abs(mz) >= cfg.mz_threshold).all():
-        return False
-    return bool((Is * np.sign(mz) >= 0.0).all())
+        The torque-consistency clause distinguishes a genuine fixed point
+        from the slow early escape from the pole, where a driven magnet
+        still sits at |m_z| > threshold, and keeps sub-critically driven
+        wrong pixels reported as non-converged.
+        """
+        if not (np.abs(self.mz) >= self.mz_threshold).all():
+            return False
+        return bool((self.Is * np.sign(self.mz) >= 0.0).all())
 
 
 def run(grid: CnnGrid, cfg: SimConfig, model: CellModel) -> Trajectory:
     """Step until settled continuously for hold_time, or t_max.
 
-    Settled means every |m_z| is at or above the threshold and no cell's
-    net spin current opposes its magnetization. A start that is already
-    settled with hold_time = 0 returns at once with the initial frame.
-    All steps go through one `GridStepper`, and the drive is rebuilt only
-    when some logic output flips, so the result equals, bit for bit,
-    rebuilding it after every step.
+    A `GridStepper` steps a copy of `grid.m`; `core.settle` samples it and
+    stops it once `GridStepper.settled` has held for hold_time.
     """
     s = GridStepper(grid, cfg, model)
-    times = [0.0]
-    frames = [s.mz.copy()]
-    sample_every = max(int(round(cfg.sample_interval / cfg.dt)), 1)
-    hold_steps = max(int(round(cfg.hold_time / cfg.dt)), 0)
-    n_steps = int(round(cfg.t_max / cfg.dt))
-    y = s.outputs()
-    initial = Pattern.from_array(y.astype(int))
-    Is = s.currents(y)
-    torque = dynamics.stt_rate(model.magnet, Is)
-    ok_run = 1 if _settled(s.mz, Is, cfg) else 0
-    conv_time = None
-    if hold_steps == 0 and ok_run:
-        conv_time, n_steps = 0.0, 0
-    for n in range(1, n_steps + 1):
-        s.advance(torque)
-        t = n * cfg.dt
-        if n % sample_every == 0 or n == n_steps:
-            times.append(t)
-            frames.append(s.mz.copy())
-        # currents only change when some logic output flips
-        y_new = s.outputs()
-        if (y_new != y).any():
-            y = y_new
-            Is = s.currents(y)
-            torque = dynamics.stt_rate(model.magnet, Is)
-        if _settled(s.mz, Is, cfg):
-            ok_run += 1
-            if ok_run > hold_steps:
-                conv_time = t
-                if times[-1] != t:
-                    times.append(t)
-                    frames.append(s.mz.copy())
-                break
-        else:
-            ok_run = 0
-    final = Pattern.from_array(y.astype(int))  # y is read from the last state
+    initial = Pattern.from_array(s.y.astype(int))
+    times, frames, conv_time = settle(
+        s.step, s.settled, s.mz.copy, cfg.dt, cfg.t_max, cfg.hold_time,
+        cfg.sample_interval)
+    final = Pattern.from_array(s.y.astype(int))  # y is read from the last state
     flips = int(np.sum(final.to_array() != initial.to_array()))
-    return Trajectory(np.array(times), np.array(frames), conv_time,
-                      final, initial, flips, cfg.seed)
+    return Trajectory(times, frames, conv_time, final, initial, flips, cfg.seed)
 
 
 def noise_filter_templates() -> TemplateSet:
@@ -286,15 +273,10 @@ def run_associative(cue: Pattern, templates: TemplateSet, cfg: SimConfig,
 
 def save_templates(t: TemplateSet, rows: int, cols: int) -> str:
     A, B, I = t.per_cell(rows, cols)
-    lines = [f"{rows} {cols}"]
-    for r in range(rows):
-        for c in range(cols):
-            vals = [int(round(v * LEVELS_PER_UNIT_WEIGHT))
-                    for v in A[r, c].reshape(-1)]
-            vals += [int(round(v * LEVELS_PER_UNIT_WEIGHT))
-                     for v in B[r, c].reshape(-1)]
-            vals.append(int(round(float(np.asarray(I)[r, c]) * LEVELS_PER_UNIT_WEIGHT)))
-            lines.append(" ".join(str(v) for v in vals))
+    n = rows * cols
+    weights = np.hstack([A.reshape(n, 9), B.reshape(n, 9), I.reshape(n, 1)])
+    levels = np.rint(weights * LEVELS_PER_UNIT_WEIGHT).astype(int)
+    lines = [f"{rows} {cols}"] + [" ".join(map(str, cell)) for cell in levels]
     return "\n".join(lines) + "\n"
 
 
@@ -307,16 +289,19 @@ def load_templates(text: str) -> TemplateSet:
     if len(lines) != 1 + rows * cols:
         raise ValueError(f"template file: expected {rows * cols} cell lines, "
                          f"got {len(lines) - 1}")
-    A = np.zeros((rows, cols, 3, 3))
-    B = np.zeros((rows, cols, 3, 3))
-    I = np.zeros((rows, cols))
-    for idx, ln in enumerate(lines[1:]):
+    levels = set(representable_weights())
+    cells = []
+    for k, ln in enumerate(lines[1:], start=1):
         vals = [int(v) for v in ln.split()]
         if len(vals) != 19:
-            raise ValueError(f"template file: cell line {idx + 1} must have "
+            raise ValueError(f"template file: cell line {k} must have "
                              "19 integers")
-        r, c = divmod(idx, cols)
-        A[r, c] = np.array(vals[:9], dtype=float).reshape(3, 3) / LEVELS_PER_UNIT_WEIGHT
-        B[r, c] = np.array(vals[9:18], dtype=float).reshape(3, 3) / LEVELS_PER_UNIT_WEIGHT
-        I[r, c] = vals[18] / LEVELS_PER_UNIT_WEIGHT
-    return TemplateSet(A, B, I)
+        bad = set(vals) - levels
+        if bad:
+            raise ValueError(f"template file: cell line {k}: level "
+                             f"{min(bad)} is not a synapse level "
+                             f"{sorted(levels)}")
+        cells.append(vals)
+    w = np.array(cells, dtype=float).reshape(rows, cols, 19) / LEVELS_PER_UNIT_WEIGHT
+    return TemplateSet(w[..., :9].reshape(rows, cols, 3, 3),
+                       w[..., 9:18].reshape(rows, cols, 3, 3), w[..., 18])

@@ -113,6 +113,8 @@ def logic_mz_boundary(p: MtjParams, inv: InverterModel) -> float:
     r_ref = mtj_resistance(p, p.t_ox_ref, 1.0)
     if inv.V_th >= p.V_read:
         return -1.0
+    if inv.V_th <= 0.0:
+        return 1.0
     r_boundary = inv.V_th * r_ref / (p.V_read - inv.V_th)
     r_p = mtj_resistance(p, p.t_ox_read, 1.0)
     r_ap = mtj_resistance(p, p.t_ox_read, -1.0)

@@ -31,7 +31,6 @@ class ChannelParams:
     sigma: float = 5.8e7         # channel conductivity [S/m]
     cross_section: float = 6e-17  # [m^2]
     beta: float = 0.5            # spin injection coefficient
-    R_ground: float = 50.0       # ground path resistance [ohm]
     ground_spin_sink: float = 0.0  # fraction g of spin diverted to ground
 
     def __post_init__(self):

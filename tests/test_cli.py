@@ -123,6 +123,42 @@ class TestSimulate:
         assert key in capsys.readouterr().err
         assert not out.exists()  # the output directory is made after the run
 
+    @pytest.mark.parametrize("text, named", [
+        ("[sim]\nsample_interval = -1\n", "[sim]: sample_interval"),
+        ("[sim]\nsample_interval = 0\n", "[sim]: sample_interval"),
+        ("[inverter]\nv_th = 5\n", "[inverter] v_th"),
+        ("[channel]\nr_ground = 50\n", "line 2: unknown key 'r_ground'"),
+        ("[drive_model]\nv_drive = 0.5\n", "line 2: unknown key 'v_drive'"),
+        ("[drive_model]\nsize = 2\n", "line 2: unknown key 'size'"),
+        ("[energy]\nfeature_size = 32e-9\n",
+         "line 2: unknown key 'feature_size'"),
+        ("[energy]\nmin_width_f = 4\n", "line 2: unknown key 'min_width_f'"),
+    ])
+    def test_rejected_config_names_file_and_key(self, tmp_path, capsys,
+                                                text, named):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(text)
+        out = tmp_path / "o"
+        rc = main(["simulate", "--config", str(cfg), "--pattern", "zero",
+                   "--seed", "1", "--out", str(out)])
+        assert rc == 1
+        assert f"error: config {cfg}: {named}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_unrepresentable_template_level_names_file_and_line(
+            self, tmp_path, capsys):
+        tpl = tmp_path / "odd.tpl"
+        cells = ["0 " * 18 + "0"] * 600
+        cells[2] = "3 " + "0 " * 17 + "0"   # level 3: not a synapse level
+        tpl.write_text("30 20\n" + "\n".join(cells) + "\n")
+        out = tmp_path / "o"
+        rc = main(["simulate", "--app", "assoc", "--templates", str(tpl),
+                   "--pattern", "one", "--out", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert f"templates {tpl}: template file: cell line 3: level 3" in err
+        assert not out.exists()
+
 
 class TestTrain:
     def test_trained_file_roundtrips_through_simulate(self, tmp_path,

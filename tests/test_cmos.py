@@ -129,6 +129,40 @@ class TestIntegrate:
                                t_max=1.0)
         assert conv == 0.0
 
+    def test_pre_converged_start_returns_one_sample(self):
+        x0 = np.full((2, 2), 1.5)
+        t = TemplateSet(np.zeros((3, 3)), np.zeros((3, 3)), 2.0)
+        times, states, conv = integrate(x0, np.zeros((2, 2)), t, P, dt=0.01,
+                                        t_max=1.0)
+        assert conv == 0.0
+        assert list(times) == [0.0]
+        assert np.array_equal(states, x0[None])
+
+    @pytest.mark.parametrize("hold", [0.0, 0.5])
+    def test_saturated_cell_its_drive_cannot_hold_never_settles(self, hold):
+        # x relaxes from 3 towards R I = 0.5, so its output leaves
+        # saturation near t = ln 5 tau; |x| >= 1 alone would call it
+        # settled at t = hold
+        t = TemplateSet(np.zeros((3, 3)), np.zeros((3, 3)), 0.5)
+        times, states, conv = integrate(np.full((1, 1), 3.0), np.zeros((1, 1)),
+                                        t, P, dt=0.01, t_max=10.0,
+                                        hold_time=hold * P.tau)
+        assert conv is None
+        assert times[-1] == pytest.approx(10.0)
+        assert abs(states[-1, 0, 0] - 0.5) < 1e-3
+
+    def test_settles_once_saturated_drive_holds_every_cell(self):
+        # x = 1.2 under I = 2: saturated, and relaxing towards R I = 2
+        t = TemplateSet(np.zeros((3, 3)), np.zeros((3, 3)), 2.0)
+        x0 = np.array([[0.5, 1.2]])
+        times, states, conv = integrate(x0, np.zeros((1, 2)), t, P, dt=0.01,
+                                        t_max=10.0, hold_time=0.1,
+                                        sample_interval=1.0)
+        # x0 = 0.5 reaches 1 at t = ln(1.5 / 1) = 0.405, held 0.1 after
+        assert conv == pytest.approx(0.51, abs=0.011)
+        assert times[-1] == conv
+        assert np.all(states[-1] >= 1.0)
+
 
 class TestAmplifierModel:
     def test_unit_scale_calibration_point(self):

@@ -11,7 +11,7 @@ from spincnn import GLYPHS, load_glyph
 from spincnn.constants import GAMMA, HBAR, KB, MU0, MU_B, Q
 from spincnn.core import (MagnetParams, Pattern, SimConfig, TemplateSet,
                           add_noise, frame_to_pgm, load_pattern, make_rng,
-                          save_pattern)
+                          save_pattern, settle)
 
 
 def test_constants_positive_codata():
@@ -173,10 +173,51 @@ class TestSimConfig:
     @pytest.mark.parametrize("kwargs", [
         {"dt": 0.0}, {"t_max": 1e-13}, {"temperature": -1.0},
         {"mz_threshold": 0.0}, {"mz_threshold": 1.0}, {"hold_time": -1e-9},
+        {"sample_interval": 0.0}, {"sample_interval": -1e-10},
     ])
     def test_invalid_rejected(self, kwargs):
         with pytest.raises(ValueError):
             SimConfig(**kwargs)
+
+
+class Counter:
+    """A state that counts its steps; `is_settled(n)` says when it settles."""
+
+    def __init__(self, is_settled):
+        self.n, self.is_settled = 0, is_settled
+
+    def step(self):
+        self.n += 1
+
+    def settled(self):
+        return self.is_settled(self.n)
+
+
+class TestSettle:
+    def run(self, is_settled, hold, t_max=1.0, interval=0.25):
+        c = Counter(is_settled)
+        times, frames, conv = settle(c.step, c.settled, lambda: c.n, 0.01,
+                                     t_max, hold, interval)
+        assert list(frames) == [round(t / 0.01) for t in times]
+        return list(times), conv, c.n
+
+    def test_settled_start_with_zero_hold_returns_at_once(self):
+        assert self.run(lambda n: True, 0.0) == ([0.0], 0.0, 0)
+
+    def test_start_counts_toward_the_hold(self):
+        times, conv, n = self.run(lambda n: True, 0.05)
+        assert conv == 0.05 and n == 5
+        assert times == [0.0, conv]
+
+    def test_an_unsettled_step_restarts_the_hold(self):
+        times, conv, n = self.run(lambda n: n < 8 or n >= 30, 0.1)
+        assert conv == 0.4 and n == 40
+        assert times == [0.0, 0.25, conv]
+
+    def test_never_settled_samples_every_interval_and_t_max(self):
+        times, conv, n = self.run(lambda n: False, 0.0, t_max=0.6)
+        assert conv is None and n == 60
+        assert times == [0.0, 0.25, 0.5, 0.6]
 
 
 class TestRngStreams:

@@ -243,6 +243,13 @@ class TestTemplateFiles:
         with pytest.raises(ValueError, match="expected"):
             load_templates("2 2\n" + "0 " * 19 + "\n")
 
+    @pytest.mark.parametrize("level", [3, -1, 10, -10])
+    def test_unrepresentable_level_rejected(self, level):
+        cell = ["0"] * 19
+        cell[11] = str(level)
+        with pytest.raises(ValueError, match=f"line 2: level {level} "):
+            load_templates("1 2\n" + "0 " * 19 + "\n" + " ".join(cell) + "\n")
+
 
 def test_grid_shape_mismatch_rejected():
     with pytest.raises(ValueError, match="shape"):

@@ -10,6 +10,11 @@ stimulus to convergence:
 The CMOS side of every comparison comes from the calibrated amplifier
 model in `cmos` and is labeled "calibrated to published claims" in all
 reports; it is not independently derived.
+
+A sweep runs its (voltage, size, seed) points as members of grid
+ensembles (`network.run_many`). Each member's run is bit for bit the one
+it gets alone, so the records do not depend on how the points are
+grouped, nor on the number of worker processes.
 """
 
 from __future__ import annotations
@@ -22,12 +27,17 @@ import numpy as np
 from . import cmos as cmos_mod
 from .core import Pattern, SimConfig, TemplateSet, add_noise
 from .dynamics import analytic_critical_current
-from .network import (CellModel, CnnGrid, Trajectory, run, run_associative)
+from .network import CellModel, CnnGrid, Trajectory, run_many
 from .readpath import mtj_resistance
 from .synapse import BRANCH_SIZES, DriveModel, LEVELS_PER_UNIT_WEIGHT, unit_current
 
 CSV_HEADER = ("v_drive_V,size_mult,seed,converged,delay_ns,"
               "e_joule_fJ,e_leak_fJ,e_dyn_fJ,e_total_fJ,area_um2")
+
+# members per sweep ensemble: the grid kernel's cost per cell-step falls up
+# to about 16 stacked grids and rises again by 64, once its buffers leave
+# the cache
+ENSEMBLE_MAX = 16
 
 # gross width units of one programmable 4-magnet synapse, in units of the
 # unit-weight (level 4) driver: (4+2+1+1)/4
@@ -127,15 +137,6 @@ class Scenario:
         return self.clean.rows * self.clean.cols
 
 
-def run_scenario(s: Scenario, cfg: SimConfig, model: CellModel) -> Trajectory:
-    """One seeded realization of the scenario (seed taken from cfg)."""
-    noisy = add_noise(s.clean, s.noise_fraction, cfg.seed)
-    if s.associative:
-        return run_associative(noisy, s.templates, cfg, model)
-    grid = CnnGrid.from_pattern(noisy, noisy, s.templates)
-    return run(grid, cfg, model)
-
-
 def spin_energy(traj: Trajectory, drive: DriveModel, model: CellModel,
                 ep: EnergyParams, hw: ScenarioHardware,
                 t_max: float) -> EnergyBreakdown:
@@ -172,37 +173,59 @@ def spin_area(n_cells: int, hw: ScenarioHardware, size_multiplier: int,
     return n_cells * (transistor_area + passive_area)
 
 
-def _point(s: Scenario, v: float, size: int, seed: int, cfg: SimConfig,
-           base_model: CellModel, drive: DriveModel,
-           ep: EnergyParams) -> SweepRecord:
-    d = dc_replace(drive, V_drive=v, size_multiplier=size)
-    i0 = base_model.channel.beta * unit_current(d) * size
-    model = dc_replace(base_model, i0=i0)
-    traj = run_scenario(s, dc_replace(cfg, seed=seed), model)
-    ok = traj.converged
-    delay = traj.convergence_time if ok else cfg.t_max
-    energy = spin_energy(traj, d, model, ep, s.hardware, cfg.t_max)
-    area = spin_area(s.n_cells, s.hardware, size, ep)
-    return SweepRecord(v, size, seed, ok, delay, energy, area)
+def _sweep_chunk(s: Scenario, points, cfg: SimConfig, base_model: CellModel,
+                 drive: DriveModel, ep: EnergyParams) -> list[SweepRecord]:
+    """One ensemble of (voltage, size, seed) points, stepped by `run_many`."""
+    members, drives = [], []
+    for v, size, seed in points:
+        d = dc_replace(drive, V_drive=v, size_multiplier=size)
+        i0 = base_model.channel.beta * unit_current(d) * size
+        noisy = add_noise(s.clean, s.noise_fraction, seed)
+        members.append((CnnGrid.from_pattern(noisy, noisy, s.templates),
+                        dc_replace(cfg, seed=seed), dc_replace(base_model, i0=i0)))
+        drives.append(d)
+    records = []
+    for (v, size, seed), d, (_, _, model), traj in zip(
+            points, drives, members, run_many(members, frames=False)):
+        ok = traj.converged
+        delay = traj.convergence_time if ok else cfg.t_max
+        energy = spin_energy(traj, d, model, ep, s.hardware, cfg.t_max)
+        area = spin_area(s.n_cells, s.hardware, size, ep)
+        records.append(SweepRecord(v, size, seed, ok, delay, energy, area))
+    return records
 
 
-def sweep_voltage(s: Scenario, voltages, size_multiplier: int, seeds,
-                  cfg: SimConfig, base_model: CellModel, drive: DriveModel,
-                  ep: EnergyParams, jobs: int = 1) -> list[SweepRecord]:
-    """Run the scenario at every (voltage, seed); i0 follows the IV model."""
+def sweep_voltage(s: Scenario, voltages, sizes, seeds, cfg: SimConfig,
+                  base_model: CellModel, drive: DriveModel, ep: EnergyParams,
+                  jobs: int = 1) -> list[SweepRecord]:
+    """Run the scenario at every (voltage, size, seed); i0 follows the IV
+    model. `sizes` is one driver size or a list of them.
+
+    Every point is one member of a grid ensemble (`network.run_many`,
+    without frames). The points are dealt round-robin into `jobs` chunks,
+    or more where a chunk would exceed ENSEMBLE_MAX members, so that the
+    long sub-critical points spread over the chunks; with jobs > 1 the
+    chunks run in a pool of `jobs` worker processes. Each member's run is bit for bit the one it
+    gets alone, so the records do not depend on `jobs`.
+    """
     voltages = sorted(voltages)
     if len(voltages) < 3:
         raise ValueError("need at least 3 sweep voltages")
-    points = [(v, size_multiplier, seed) for v in voltages for seed in seeds]
+    if s.associative and s.templates.kind != "space-varying":
+        raise ValueError("associative recall needs space-varying templates")
+    sizes = [sizes] if isinstance(sizes, int) else list(sizes)
+    points = [(v, size, seed) for v in voltages for size in sizes
+              for seed in seeds]
+    n_chunks = max(min(jobs, len(points)), math.ceil(len(points) / ENSEMBLE_MAX))
+    chunks = [(s, points[k::n_chunks], cfg, base_model, drive, ep)
+              for k in range(n_chunks)]
     if jobs > 1:
         import multiprocessing as mp
-        with mp.Pool(jobs) as pool:
-            records = pool.starmap(
-                _point, [(s, v, sz, seed, cfg, base_model, drive, ep)
-                         for v, sz, seed in points])
+        with mp.get_context("spawn").Pool(min(jobs, n_chunks)) as pool:
+            parts = pool.starmap(_sweep_chunk, chunks)
     else:
-        records = [_point(s, v, sz, seed, cfg, base_model, drive, ep)
-                   for v, sz, seed in points]
+        parts = [_sweep_chunk(*chunk) for chunk in chunks]
+    records = [r for part in parts for r in part]
     records.sort(key=lambda r: (r.v_drive, r.size_mult, r.seed))
     return records
 

@@ -296,18 +296,11 @@ def cmd_sweep(args, argv: list[str]) -> int:
     os.makedirs(args.out, exist_ok=True)
     manifest = _Manifest(argv, digest, None)
 
-    records = []
-    try:
-        for size in sizes:
-            records.extend(sweep_voltage(
-                scenario, voltages, size, seeds, full.sim, full.cell_model(0.0),
-                full.drive_model, full.energy, jobs=args.jobs))
-    finally:
-        # flush whatever finished, even on interruption
-        records.sort(key=lambda r: (r.v_drive, r.size_mult, r.seed))
-        if records:
-            _write(args.out, "sweep.csv", records_to_csv(records), manifest)
-            manifest.write(args.out)
+    records = sweep_voltage(scenario, voltages, sizes, seeds, full.sim,
+                            full.cell_model(0.0), full.drive_model,
+                            full.energy, jobs=args.jobs)
+    _write(args.out, "sweep.csv", records_to_csv(records), manifest)
+    manifest.write(args.out)
 
     frontier = pareto(records)
     if not frontier:

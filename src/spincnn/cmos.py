@@ -12,11 +12,12 @@ it. The output function is the standard piecewise-linear saturation
 `core.template_operator`, built once per run, so B u + I is computed once.
 
 A run stops through `core.settle`, the hold-and-sample loop of the
-spintronic grid, once every cell is settled: |x| >= 1 and
-sign(x) R (W f(x) + c) >= 1. With every output saturated the drive
-W f(x) + c is constant, so each x relaxes monotonically towards R times
-it; the rule therefore proves that no output changes again, where
-|x| >= 1 alone would accept a saturated cell whose drive pulls it back.
+spintronic grid, as a single member, once every cell is settled:
+|x| >= 1 and sign(x) R (W f(x) + c) >= 1. With every output saturated
+the drive W f(x) + c is constant, so each x relaxes monotonically
+towards R times it; the rule therefore proves that no output changes
+again, where |x| >= 1 alone would accept a saturated cell whose drive
+pulls it back.
 
 The power/delay numbers are NOT derived from circuit simulation: they are
 a two-parameter calibration (P_0, delay_0 per cell at unit bias) chosen to
@@ -112,12 +113,22 @@ def integrate(x0: np.ndarray, u: np.ndarray, templates, p: ChuaParams,
 
     def settled():
         if not np.all(np.abs(x) >= 1.0):
-            return False
-        return bool(np.all(np.sign(x) * p.R * (W @ f_output(x) + c) >= 1.0))
+            return [False]
+        return [bool(np.all(np.sign(x) * p.R * (W @ f_output(x) + c) >= 1.0))]
 
-    times, states, conv_time = settle(step, settled, lambda: x.copy(), dt,
-                                      t_max, hold_time, sample_interval or dt)
-    return times, states.reshape((-1,) + shape), conv_time
+    times, states, conv_time = [], [], None
+
+    def sample(t, which):
+        times.append(t)
+        states.append(x.copy())
+
+    def stop(which, t, converged):
+        nonlocal conv_time
+        conv_time = t if converged else None
+
+    settle(step, settled, sample, stop, dt, t_max, hold_time,
+           sample_interval or dt)
+    return np.array(times), np.array(states).reshape((-1,) + shape), conv_time
 
 
 def cmos_noise_filter_templates():

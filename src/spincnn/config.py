@@ -9,6 +9,7 @@ table uses the form `iv = (v1,i1);(v2,i2);...`.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field, replace
 
 from .analysis import EnergyParams
@@ -181,4 +182,9 @@ def parse_config(text: str) -> FullConfig:
     if not -1.0 < b < 1.0:
         raise ConfigError(f"[inverter] v_th: logic boundary at m_z = {b:.4g} "
                           "with this [mtj] read stack, outside (-1, 1)")
+    # the thermal field divides by Ms V dt, and the anisotropy field by Ms
+    ms_v_dt = cfg.magnet.Ms * cfg.magnet.volume * cfg.sim.dt
+    if not ms_v_dt >= sys.float_info.min:
+        raise ConfigError(f"[magnet] ms: Ms V dt = {ms_v_dt:.3g} underflows "
+                          f"(Ms = {cfg.magnet.Ms:g} A/m)")
     return cfg

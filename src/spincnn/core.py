@@ -190,34 +190,48 @@ def template_operator(templates: TemplateSet, u: np.ndarray,
     return W, c
 
 
-def settle(step, settled, frame, dt: float, t_max: float, hold_time: float,
-           sample_interval: float):
-    """Call `step()` until `settled()` has held for hold_time, or t_max.
+def settle(step, settled, sample, stop, dt: float, t_max: float,
+           hold_time: float, sample_interval: float) -> None:
+    """Call `step()` until every member has stayed settled for hold_time,
+    or t_max.
 
-    The start counts toward the hold, so a settled start with hold_time = 0
-    returns at once with its one frame. A `frame()` is taken at t = 0,
-    every sample interval, at t_max and at convergence. Returns (times,
-    frames, convergence_time); convergence_time is None when the hold is
-    never met.
+    The caller steps one or more members together, and each keeps its
+    own hold count. `settled()` returns one bool per running member, in
+    order. The start counts toward the hold, so a settled start with
+    hold_time = 0 stops at once. `sample(t, which)` is called with the
+    indices of the running members to sample at time t: every running
+    member at t = 0, every sample interval and at t_max, and the members
+    that converge at a step between samples. `stop(which, t, converged)`
+    then hands members back, converged or at t_max: they leave the running
+    set, and indices passed afterwards count only the members still
+    running.
     """
-    times, frames = [0.0], [frame()]
     sample_every = max(int(round(sample_interval / dt)), 1)
     hold_steps = max(int(round(hold_time / dt)), 0)
     n_steps = int(round(t_max / dt))
-    held = 1 if settled() else 0
-    conv_time = 0.0 if held > hold_steps else None
-    n = 0
-    while conv_time is None and n < n_steps:
+    held = [int(ok) for ok in settled()]
+    n, t = 0, 0.0
+    sample(t, list(range(len(held))))
+    sampled = True
+    while True:
+        if max(held) > hold_steps:
+            done = [i for i, h in enumerate(held) if h > hold_steps]
+            if not sampled:
+                sample(t, done)
+            stop(done, t, True)
+            held = [h for h in held if h <= hold_steps]
+            if not held:
+                return
+        if n == n_steps:
+            stop(list(range(len(held))), t, False)
+            return
         step()
         n += 1
         t = n * dt
-        held = held + 1 if settled() else 0
-        if held > hold_steps:
-            conv_time = t
-        if n % sample_every == 0 or n == n_steps or conv_time is not None:
-            times.append(t)
-            frames.append(frame())
-    return np.array(times), np.array(frames), conv_time
+        held = [h + 1 if ok else 0 for h, ok in zip(held, settled())]
+        sampled = n % sample_every == 0 or n == n_steps
+        if sampled:
+            sample(t, list(range(len(held))))
 
 
 @dataclass(frozen=True)

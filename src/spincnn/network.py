@@ -7,23 +7,28 @@ outputs, and only then is every magnet advanced one LLG step. Thermal
 noise is drawn from a counter-based stream keyed by (seed, step), so
 trajectories are bit-reproducible regardless of evaluation order.
 
-`run` steps the grid through one `GridStepper`, which keeps the magnets in
-the component-first layout of `dynamics.GridHeun` and steps them in place,
-and `core.settle` decides when it has settled. The template drive of every
-cell is W @ y + c, from the operator that `core.template_operator` builds
-once per run, rebuilt only when a logic output flips. Bit-identity
-contract: every trajectory equals, bit for bit, the plain loop of
-`dynamics.heun_step` on the (rows, cols, 3) layout, with one
-make_rng(seed, STREAM_LLG, n) draw per step n and `net_currents` rebuilt
-from the logic outputs after every step.
+`run_many` steps an ensemble of grids (members) through one `GridStepper`,
+which keeps the magnets of all running members in the component-first
+layout of `dynamics.GridHeun`, (5, members, rows, cols), and steps them in
+place; `core.settle` decides when each member has settled and hands it
+back, and the stepper then drops it, so the kernel's cost follows the
+members still running. `run` is the one-member case. The template drive
+of every cell is W @ y + c, from the operator that
+`core.template_operator` builds once per member, rebuilt only when a
+logic output flips. Bit-identity contract: every member's trajectory
+equals, bit for bit, the plain loop of `dynamics.heun_step` on its own
+(rows, cols, 3) layout, with one make_rng(seed, STREAM_LLG, n) draw per
+step n and `net_currents` rebuilt from the logic outputs after every step,
+whatever the other members of its ensemble.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
+from scipy import sparse
 
 from . import dynamics
 from .core import (BOUNDARY_MINUS_ONE, BOUNDARY_ZERO_FLUX, STREAM_LLG,
@@ -66,7 +71,7 @@ class CellModel:
 class CnnGrid:
     """Initial network state: per-cell magnetization and fixed inputs.
 
-    `run` steps a copy of `m`, so a grid can start any number of runs.
+    `run_many` steps a copy of `m`, so a grid can start any number of runs.
     """
 
     m: np.ndarray                 # (rows, cols, 3) unit vectors
@@ -90,7 +95,11 @@ class CnnGrid:
 
 @dataclass
 class Trajectory:
-    """Sampled m_z frames plus convergence and activity bookkeeping."""
+    """Sampled m_z frames plus convergence and activity bookkeeping.
+
+    A run without frames (`run_many(..., frames=False)`) keeps only the
+    last sample, taken when the run stopped.
+    """
 
     times: np.ndarray                 # strictly increasing sample times [s]
     mz: np.ndarray                    # (n_samples, rows, cols)
@@ -105,57 +114,111 @@ class Trajectory:
         return self.convergence_time is not None
 
 
-def _currents(W, c, y: np.ndarray, model: CellModel) -> np.ndarray:
-    """Net spin currents [A] for logic outputs y under the drive W @ y + c."""
-    weights = (W @ y.reshape(-1) + c).reshape(y.shape)
-    return model.i0 * weights * model.delivery_factor
-
-
 def net_currents(grid: CnnGrid, model: CellModel) -> np.ndarray:
     """Net perpendicular spin current per neuron [A] at the current state."""
     y = np.where(grid.m[:, :, 2] > model.logic_boundary_mz, 1.0, -1.0)
     W, c = template_operator(grid.templates, grid.u, model.boundary)
-    return _currents(W, c, y, model)
+    return model.i0 * (W @ y.reshape(-1) + c).reshape(y.shape) \
+        * model.delivery_factor
+
+
+@dataclass
+class _Member:
+    """What one ensemble member keeps of its own while it runs."""
+
+    slot: int                     # position in the list of members
+    seed: int
+    i0: float
+    W: sparse.csr_array
+    c: np.ndarray
+    initial: Pattern
+    rng: np.random.Generator
+    rng_state: dict
+    times: list = field(default_factory=list)
+    frames: list = field(default_factory=list)
 
 
 class GridStepper:
-    """Advances one grid in place; built once per run, one call per step.
+    """Advances an ensemble of grids in place, all on one kernel; built once
+    per run, one call per step.
 
-    Holds the magnets in a `dynamics.GridHeun` (`mz` is a live view of
-    m_z), the template operator (W, c), the thermal sigma (the dt guard is
-    checked once) and one Philox generator keyed by (seed, STREAM_LLG); the
-    logic boundary and the delivery factor are cached on the `CellModel`.
-    Step n, counted from 0, resets the counter to n before its draw, which
-    gives the bits of make_rng(seed, STREAM_LLG, n); the sample is drawn
-    into a reused (rows, cols, 3) buffer. `y`, `Is` and `torque` hold the
-    logic outputs and the drive they give; `step` rebuilds the drive only
-    when some output flips.
+    A member is a (grid, cfg, model) triple. Members may differ in their
+    grid (state, inputs and templates), in `cfg.seed` and in `model.i0`,
+    and must share the grid shape and everything else. The magnets of the
+    running members sit in one `dynamics.GridHeun` of shape
+    (5, members, rows, cols) (`mz` is a live view of m_z). The drive of
+    every member is W @ y + c from its own `core.template_operator`,
+    stacked block-diagonally, times its own i0. The thermal sigma is shared
+    (the dt guard is checked once). Each member has one Philox generator
+    keyed by (seed, STREAM_LLG): step n, counted from 0, resets its counter
+    to n before the draw, which gives the bits of make_rng(seed,
+    STREAM_LLG, n), into the member's slice of a reused
+    (members, rows, cols, 3) buffer. `y`, `Is` and `torque` hold the logic
+    outputs and the drive they give; `step` rebuilds the drive only when
+    some output flips.
+
+    `sample` and `stop` are the callbacks of `core.settle`. `stop` records
+    a member's `Trajectory` in `trajectories`, at the member's position in
+    the list it was built from, and compacts every buffer to the members
+    still running. With frames=False a trajectory keeps only its last
+    sample, at the time the member stopped.
     """
 
-    def __init__(self, grid: CnnGrid, cfg: SimConfig, model: CellModel):
+    def __init__(self, members, frames: bool = True):
+        members = list(members)
+        if not members:
+            raise ValueError("an ensemble needs at least one member")
+        grid, cfg, model = members[0]
+        for g, c, m in members[1:]:
+            if g.m.shape != grid.m.shape:
+                raise ValueError("ensemble members differ in grid shape")
+            if replace(c, seed=cfg.seed) != cfg:
+                raise ValueError("ensemble members may differ in SimConfig "
+                                 "only by seed")
+            if replace(m, i0=model.i0) != model:
+                raise ValueError("ensemble members may differ in CellModel "
+                                 "only by i0")
         if cfg.dt > dynamics.MAX_DT:
             raise ValueError(f"dt = {cfg.dt} exceeds stability guard {dynamics.MAX_DT}")
-        self.model = model
+        self.model, self.dt, self.frames = model, cfg.dt, frames
         self.mz_threshold = cfg.mz_threshold
-        self.W, self.c = template_operator(grid.templates, grid.u, model.boundary)
         self.sigma = dynamics.thermal_sigma(model.magnet, cfg.temperature, cfg.dt)
-        self.heun = dynamics.GridHeun(grid.m, model.magnet, cfg.dt)
-        self.mz = self.heun.m[2]
+        self.heun = dynamics.GridHeun(np.stack([g.m for g, _, _ in members]),
+                                      model.magnet, cfg.dt)
         self.step_index = 0
-        self.noise = np.zeros(grid.m.shape)
-        self.noise_by_component = self.noise.transpose(2, 0, 1)
-        self.rng = make_rng(cfg.seed, STREAM_LLG)
-        self.rng_state = self.rng.bit_generator.state
+        self.running = []
+        for k, (g, c, m) in enumerate(members):
+            rng = make_rng(c.seed, STREAM_LLG)
+            W, c0 = template_operator(g.templates, g.u, model.boundary)
+            self.running.append(_Member(k, c.seed, m.i0, W, c0,
+                                        g.logic_pattern(model), rng,
+                                        rng.bit_generator.state))
+        self.trajectories: list[Trajectory | None] = [None] * len(members)
+        self._bind()
         self.y = self.outputs()
         self._drive()
+
+    def _bind(self) -> None:
+        """(Re)build the stacked buffers of the running members."""
+        run = self.running
+        self.mz = self.heun.m[2]
+        self.W = run[0].W if len(run) == 1 else \
+            sparse.block_diag([m.W for m in run], format="csr")
+        self.c = np.concatenate([m.c for m in run])
+        self.i0 = np.array([m.i0 for m in run]).reshape(-1, 1, 1)
+        self.noise = np.zeros(self.heun.m.shape[1:] + (3,))
+        self.noise_by_component = np.moveaxis(self.noise, -1, 0)
+        self.draws = [(m.rng, m.rng_state, out) for m, out in zip(run, self.noise)]
 
     def outputs(self) -> np.ndarray:
         """Bipolar logic outputs read from the current magnetizations."""
         return np.where(self.mz > self.model.logic_boundary_mz, 1.0, -1.0)
 
     def currents(self, y: np.ndarray) -> np.ndarray:
-        """Net spin currents [A] for logic outputs y."""
-        return _currents(self.W, self.c, y, self.model)
+        """Net spin currents [A] for the logic outputs y of the running
+        members, shape (members, rows, cols)."""
+        weights = (self.W @ y.reshape(-1) + self.c).reshape(y.shape)
+        return self.i0 * weights * self.model.delivery_factor
 
     def _drive(self) -> None:
         self.Is = self.currents(self.y)
@@ -164,9 +227,10 @@ class GridStepper:
     def advance(self, torque) -> None:
         """One synchronous LLG step of every magnet under `torque`."""
         if self.sigma:
-            self.rng_state["state"]["counter"][3] = self.step_index
-            self.rng.bit_generator.state = self.rng_state
-            self.rng.standard_normal(out=self.noise)
+            for rng, state, out in self.draws:
+                state["state"]["counter"][3] = self.step_index
+                rng.bit_generator.state = state
+                rng.standard_normal(out=out)
             self.noise *= self.sigma
         self.heun.step(torque, self.noise_by_component)
         self.step_index += 1
@@ -180,33 +244,79 @@ class GridStepper:
             self.y = y
             self._drive()
 
-    def settled(self) -> bool:
-        """All magnets saturated and no net current opposes its magnet.
+    def settled(self) -> list[bool]:
+        """Per running member: all magnets saturated and no net current
+        opposes its magnet.
 
         The torque-consistency clause distinguishes a genuine fixed point
         from the slow early escape from the pole, where a driven magnet
         still sits at |m_z| > threshold, and keeps sub-critically driven
         wrong pixels reported as non-converged.
         """
-        if not (np.abs(self.mz) >= self.mz_threshold).all():
-            return False
-        return bool((self.Is * np.sign(self.mz) >= 0.0).all())
+        low = np.minimum.reduce(np.abs(self.mz), axis=(1, 2))
+        ok = (low >= self.mz_threshold).tolist()
+        if not any(ok):
+            return ok
+        held = np.minimum.reduce(self.Is * np.sign(self.mz), axis=(1, 2)) >= 0.0
+        return [a and b for a, b in zip(ok, held.tolist())]
+
+    def sample(self, t: float, which: list[int]) -> None:
+        """Check that every running member is finite; with frames, record
+        the m_z frame of the members `which` at time t."""
+        if not np.isfinite(self.mz).all():
+            bad = np.isfinite(self.mz).all(axis=(1, 2)).argmin()
+            raise ValueError(f"magnetisation is not finite at t = "
+                             f"{t * 1e9:.6g} ns (seed {self.running[bad].seed})")
+        if self.frames:
+            for i, frame in zip(which, self.mz[which]):
+                self.running[i].times.append(t)
+                self.running[i].frames.append(frame)
+
+    def stop(self, which: list[int], t: float, converged: bool) -> None:
+        """Record the members `which` as stopped at time t, and compact."""
+        for i in which:
+            m = self.running[i]
+            if not self.frames:
+                m.times, m.frames = [t], [self.mz[i].copy()]
+            final = Pattern.from_array(self.y[i].astype(int))
+            flips = int(np.sum(final.to_array() != m.initial.to_array()))
+            self.trajectories[m.slot] = Trajectory(
+                np.array(m.times), np.array(m.frames),
+                t if converged else None, final, m.initial, flips, m.seed)
+        keep = [i for i in range(len(self.running)) if i not in which]
+        if not keep:
+            return
+        self.running = [self.running[i] for i in keep]
+        self.y = self.y[keep]
+        self.heun = dynamics.GridHeun(np.moveaxis(self.heun.m[:3, keep], 0, -1),
+                                      self.model.magnet, self.dt)
+        self._bind()
+        self._drive()
+
+
+def run_many(members, frames: bool = True) -> list[Trajectory]:
+    """Run (grid, cfg, model) members together until each has settled
+    continuously for hold_time, or t_max; one `Trajectory` per member, in
+    order.
+
+    One `GridStepper` steps copies of every `grid.m`; `core.settle` samples
+    it and hands back each member once its own `GridStepper.settled` has
+    held for hold_time, or at t_max. Bit-identity contract: every member's
+    trajectory (times, frames, convergence time and final pattern) is the
+    one it gets when run alone, whatever the other members; frames=False
+    keeps only each member's last sample.
+    """
+    s = GridStepper(members, frames)
+    cfg = members[0][1]
+    settle(s.step, s.settled, s.sample, s.stop, cfg.dt, cfg.t_max,
+           cfg.hold_time, cfg.sample_interval)
+    return s.trajectories
 
 
 def run(grid: CnnGrid, cfg: SimConfig, model: CellModel) -> Trajectory:
-    """Step until settled continuously for hold_time, or t_max.
-
-    A `GridStepper` steps a copy of `grid.m`; `core.settle` samples it and
-    stops it once `GridStepper.settled` has held for hold_time.
-    """
-    s = GridStepper(grid, cfg, model)
-    initial = Pattern.from_array(s.y.astype(int))
-    times, frames, conv_time = settle(
-        s.step, s.settled, s.mz.copy, cfg.dt, cfg.t_max, cfg.hold_time,
-        cfg.sample_interval)
-    final = Pattern.from_array(s.y.astype(int))  # y is read from the last state
-    flips = int(np.sum(final.to_array() != initial.to_array()))
-    return Trajectory(times, frames, conv_time, final, initial, flips, cfg.seed)
+    """Step until settled continuously for hold_time, or t_max: `run_many`
+    with one member."""
+    return run_many([(grid, cfg, model)])[0]
 
 
 def noise_filter_templates() -> TemplateSet:

@@ -25,7 +25,7 @@ from spincnn.dynamics import (analytic_critical_current,
                               critical_spin_current, heun_step, llg_step,
                               thermal_sigma)
 from spincnn.network import (CellModel, CnnGrid, hebbian_train,
-                             noise_filter_templates, run, run_associative)
+                             noise_filter_templates, run_many)
 from spincnn.readpath import (InverterModel, MtjParams, read_cell,
                               read_current)
 from spincnn.synapse import (DriveModel, SynapseConfig, decode_config,
@@ -205,12 +205,13 @@ def test_criterion_04_noise_filtering():
     settled, times, wrongs, exact = 0, [], [], 0
     repaired, isolated_total = 0, 0
     bad = {"isolated": [], "clean-region": [], "fixed-point": []}
-    for seed in range(20):
-        noisy = add_noise(clean, 0.1, seed)
+    inputs = [add_noise(clean, 0.1, seed) for seed in range(20)]
+    trajs = run_many([(CnnGrid.from_pattern(noisy, noisy, templates),
+                       SimConfig(seed=seed, t_max=20e-9), model)
+                      for seed, noisy in enumerate(inputs)], frames=False)
+    for seed, (noisy, traj) in enumerate(zip(inputs, trajs)):
         flipped = noisy.to_array() != c
         assert int(np.sum(flipped)) == 60
-        cfg = SimConfig(seed=seed, t_max=20e-9)
-        traj = run(CnnGrid.from_pattern(noisy, noisy, templates), cfg, model)
         y = traj.final_pattern.to_array().astype(int)
         if traj.converged:
             times.append(traj.convergence_time * 1e9)
@@ -263,10 +264,11 @@ def test_criterion_05_associative_memory():
     ic = analytic_critical_current(MagnetParams())
     model = CellModel(i0=10 * ic)
     successes, times = 0, []
-    for seed in range(20):
-        cue = add_noise(one, 4 / 600, seed)
-        cfg = SimConfig(seed=seed, t_max=40e-9)
-        traj = run_associative(cue, templates, cfg, model)
+    cues = [add_noise(one, 4 / 600, seed) for seed in range(20)]
+    trajs = run_many([(CnnGrid.from_pattern(cue, cue, templates),
+                       SimConfig(seed=seed, t_max=40e-9), model)
+                      for seed, cue in enumerate(cues)], frames=False)
+    for traj in trajs:
         if traj.converged and traj.final_pattern == two \
                 and 3e-9 <= traj.convergence_time <= 30e-9:
             successes += 1

@@ -8,9 +8,10 @@ from spincnn import load_glyph
 from spincnn.analysis import (CSV_HEADER, EnergyBreakdown, EnergyParams,
                               Scenario, ScenarioHardware, SweepRecord,
                               aggregate, cmos_sweep, compare,
-                              pareto, records_to_csv, spin_area, spin_energy)
+                              pareto, records_to_csv, spin_area, spin_energy,
+                              sweep_voltage)
 from spincnn.cmos import AmplifierModel
-from spincnn.core import Pattern
+from spincnn.core import Pattern, SimConfig
 from spincnn.network import (CellModel, Trajectory, hebbian_train,
                              noise_filter_templates)
 from spincnn.synapse import DriveModel
@@ -200,6 +201,22 @@ class TestScenario:
         assert len(recs) == 2
         assert recs[1]["delay"] == pytest.approx(10e-9)
         assert recs[0]["energy"] > 0
+
+
+def test_sweep_records_do_not_depend_on_jobs():
+    # 12 points: one ensemble, or chunks of 6 or 4 in worker processes;
+    # 0.05 V never settles, five points settle at different times
+    s = Scenario("nf", load_glyph("zero"), noise_filter_templates(), 0.1,
+                 load_glyph("zero"))
+    cfg = SimConfig(dt=2e-12, t_max=4e-9, hold_time=0.2e-9)
+    runs = [sweep_voltage(s, [1.0, 0.05, 0.52], [1, 4], [0, 1], cfg, MODEL,
+                          DriveModel(), EP, jobs=jobs) for jobs in (1, 2, 3)]
+    assert runs[0] == runs[1] == runs[2]
+    assert [(r.v_drive, r.size_mult, r.seed) for r in runs[0]] == \
+        [(v, size, seed) for v in (0.05, 0.52, 1.0) for size in (1, 4)
+         for seed in (0, 1)]
+    assert not any(r.converged for r in runs[0][:4])
+    assert len({r.delay for r in runs[0] if r.converged}) >= 4
 
 
 def test_csv_header_and_formatting():

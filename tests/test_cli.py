@@ -133,6 +133,7 @@ class TestSimulate:
         ("[energy]\nfeature_size = 32e-9\n",
          "line 2: unknown key 'feature_size'"),
         ("[energy]\nmin_width_f = 4\n", "line 2: unknown key 'min_width_f'"),
+        ("[magnet]\nms = 1e-300\n", "[magnet] ms: Ms V dt = 0 underflows"),
     ])
     def test_rejected_config_names_file_and_key(self, tmp_path, capsys,
                                                 text, named):
@@ -143,6 +144,21 @@ class TestSimulate:
                    "--seed", "1", "--out", str(out)])
         assert rc == 1
         assert f"error: config {cfg}: {named}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("text", ["[drive]\ni0 = 1e200\n",
+                                      "[magnet]\nku = 1e300\n"])
+    def test_non_finite_state_exits_one_naming_time_and_seed(
+            self, tmp_path, capsys, text):
+        cfg = tmp_path / "wild.cfg"
+        cfg.write_text(text)
+        out = tmp_path / "o"
+        with np.errstate(all="ignore"):
+            rc = main(["simulate", "--config", str(cfg), "--pattern", "zero",
+                       "--seed", "4", "--out", str(out)])
+        assert rc == 1
+        assert "error: magnetisation is not finite at t = 0.1 ns (seed 4)" \
+            in capsys.readouterr().err
         assert not out.exists()
 
     def test_unrepresentable_template_level_names_file_and_line(
@@ -212,6 +228,28 @@ class TestSweep:
         rc = main(["sweep", "--voltages", "0.5,1.0",
                    "--out", str(tmp_path / "o")])
         assert rc == 1
+
+    def test_sizes_plane_matches_reference_outputs(self, tmp_path,
+                                                  fast_config, capsys):
+        # reference files written by the sweep that ran one point at a time
+        ref = os.path.join(os.path.dirname(__file__), "data", "sweep_sizes")
+        out = tmp_path / "sw"
+        assert main(["sweep", "--config", fast_config, "--voltages",
+                     "0.05,0.27,1.0", "--sizes", "1,2,4", "--seeds", "0",
+                     "--out", str(out)]) == 0
+        for name in ("sweep.csv", "pareto.csv", "comparison.txt"):
+            with open(os.path.join(ref, name), "rb") as fh:
+                assert (out / name).read_bytes() == fh.read(), name
+
+    def test_non_finite_state_exits_one(self, tmp_path, capsys):
+        cfg = tmp_path / "wild.cfg"
+        cfg.write_text("[magnet]\nku = 1e300\n")
+        with np.errstate(all="ignore"):
+            rc = main(["sweep", "--config", str(cfg), "--voltages",
+                       "0.27,0.52,1.0", "--seeds", "3",
+                       "--out", str(tmp_path / "sw")])
+        assert rc == 1
+        assert "is not finite at t = 0.1 ns (seed 3)" in capsys.readouterr().err
 
     def test_jobs_determinism(self, tmp_path, fast_config, capsys):
         args = ["sweep", "--config", fast_config,

@@ -180,26 +180,44 @@ class TestSimConfig:
             SimConfig(**kwargs)
 
 
-class Counter:
-    """A state that counts its steps; `is_settled(n)` says when it settles."""
+class Counters:
+    """Members that count their steps; `is_settled[k](n)` says when member
+    k settles. Records what `settle` samples and when it stops each one."""
 
-    def __init__(self, is_settled):
-        self.n, self.is_settled = 0, is_settled
+    def __init__(self, *is_settled):
+        self.n, self.is_settled = 0, list(is_settled)
+        self.running = list(range(len(is_settled)))
+        self.times = [[] for _ in is_settled]
+        self.frames = [[] for _ in is_settled]
+        self.stopped = [None] * len(is_settled)
 
     def step(self):
         self.n += 1
 
     def settled(self):
-        return self.is_settled(self.n)
+        return [self.is_settled[k](self.n) for k in self.running]
+
+    def sample(self, t, which):
+        for i in which:
+            self.times[self.running[i]].append(t)
+            self.frames[self.running[i]].append(self.n)
+
+    def stop(self, which, t, converged):
+        for i in which:
+            self.stopped[self.running[i]] = (t, converged, self.n)
+        self.running = [k for i, k in enumerate(self.running) if i not in which]
 
 
 class TestSettle:
     def run(self, is_settled, hold, t_max=1.0, interval=0.25):
-        c = Counter(is_settled)
-        times, frames, conv = settle(c.step, c.settled, lambda: c.n, 0.01,
-                                     t_max, hold, interval)
-        assert list(frames) == [round(t / 0.01) for t in times]
-        return list(times), conv, c.n
+        c = Counters(is_settled)
+        settle(c.step, c.settled, c.sample, c.stop, 0.01, t_max, hold,
+               interval)
+        times, frames = c.times[0], c.frames[0]
+        assert frames == [round(t / 0.01) for t in times]
+        t, converged, n = c.stopped[0]
+        assert t == times[-1] and n == c.n
+        return times, t if converged else None, n
 
     def test_settled_start_with_zero_hold_returns_at_once(self):
         assert self.run(lambda n: True, 0.0) == ([0.0], 0.0, 0)
@@ -218,6 +236,15 @@ class TestSettle:
         times, conv, n = self.run(lambda n: False, 0.0, t_max=0.6)
         assert conv is None and n == 60
         assert times == [0.0, 0.25, 0.5, 0.6]
+
+    def test_members_keep_their_own_holds_and_stop_apart(self):
+        c = Counters(lambda n: n >= 10, lambda n: True, lambda n: False,
+                     lambda n: 3 <= n < 5 or n >= 20)
+        settle(c.step, c.settled, c.sample, c.stop, 0.01, 0.6, 0.05, 0.25)
+        assert [(round(t / 0.01), conv, n) for t, conv, n in c.stopped] == \
+            [(15, True, 15), (5, True, 5), (60, False, 60), (25, True, 25)]
+        assert c.frames == [[0, 15], [0, 5], [0, 25, 50, 60], [0, 25]]
+        assert c.n == 60
 
 
 class TestRngStreams:

@@ -13,7 +13,7 @@ from spincnn.network import (BOUNDARY_MINUS_ONE, BOUNDARY_ZERO_FLUX,
                              CellModel, CnnGrid, GridStepper, hebbian_train,
                              load_templates, net_currents,
                              noise_filter_templates, quantize_templates, run,
-                             run_associative, save_templates)
+                             run_associative, run_many, save_templates)
 
 IC = analytic_critical_current(MagnetParams())
 MODEL = CellModel(i0=10 * IC)
@@ -77,10 +77,10 @@ class TestNetCurrents:
 def steps(grid, cfg, model, n):
     """Magnetizations after n synchronous steps of one `GridStepper`, each
     under the currents of the outputs read before it."""
-    s = GridStepper(grid, cfg, model)
+    s = GridStepper([(grid, cfg, model)])
     for _ in range(n):
         s.advance(stt_rate(model.magnet, s.currents(s.outputs())))
-    return np.moveaxis(s.heun.m[:3], 0, -1)
+    return np.moveaxis(s.heun.m[:3, 0], 0, -1)
 
 
 class TestStep:
@@ -93,7 +93,7 @@ class TestStep:
 
     def test_dt_guard(self):
         with pytest.raises(ValueError, match="stability guard"):
-            GridStepper(grid_of(solid(3, 3)), SimConfig(dt=2e-11), MODEL)
+            GridStepper([(grid_of(solid(3, 3)), SimConfig(dt=2e-11), MODEL)])
 
     def test_norms_preserved(self):
         m = steps(grid_of(load_glyph("zero")), self.CFG, MODEL, 5)
@@ -333,6 +333,68 @@ def test_run_is_bit_identical_to_reference_loop(boundary, temperature, app):
     assert traj.final_pattern == final
 
 
+@pytest.mark.parametrize("boundary", ["minus-one", BOUNDARY_ZERO_FLUX])
+@pytest.mark.parametrize("temperature", [300.0, 0.0])
+def test_ensemble_members_are_bit_identical_to_reference_loop(boundary,
+                                                              temperature):
+    # cross and Hebbian members, tilted and pole starts, their own seeds
+    # and i0; one member is driven sub-critically and never settles
+    from dataclasses import replace
+    rng = np.random.default_rng(8)
+    cue = random_pattern(rng, (6, 5))
+    hebbian = hebbian_train([(cue, random_pattern(rng, (6, 5))),
+                             (random_pattern(rng, (6, 5)), cue)])
+    cfg = SimConfig(temperature=temperature, t_max=1.2e-9, hold_time=0.1e-9,
+                    dt=2e-12)
+    members = []
+    for seed, templates, i0_over_ic, tilt in [
+            (3, noise_filter_templates(), 10, 0.3),
+            (4, hebbian, 10, 0.3),
+            (5, noise_filter_templates(), 0.1, 0.3),
+            (6, noise_filter_templates(), 30, 0.0),
+            (7, hebbian, 20, 0.2)]:
+        start = random_pattern(rng, (6, 5))
+        m = np.zeros((6, 5, 3))
+        m[:, :, 2] = start.to_array()
+        m += rng.normal(scale=tilt, size=m.shape)
+        m /= np.linalg.norm(m, axis=-1, keepdims=True)
+        members.append((CnnGrid(m, start.to_array().astype(float), templates),
+                        replace(cfg, seed=seed),
+                        replace(MODEL, i0=i0_over_ic * IC, boundary=boundary)))
+    trajs = run_many(members)
+    conv = [t.convergence_time for t in trajs]
+    assert conv[2] is None
+    assert len({c for c in conv if c is not None}) >= 2
+    for member, traj in zip(members, trajs):
+        times, frames, conv_time, final = reference_run(*member)
+        assert np.array_equal(traj.times, times)
+        assert np.array_equal(traj.mz, frames)
+        assert traj.convergence_time == conv_time
+        assert traj.final_pattern == final
+    # reordered and without frames: each member keeps only its last sample
+    lean = run_many(members[::-1], frames=False)[::-1]
+    for traj, last in zip(trajs, lean):
+        assert np.array_equal(last.times, traj.times[-1:])
+        assert np.array_equal(last.mz, traj.mz[-1:])
+        assert last.convergence_time == traj.convergence_time
+        assert last.final_pattern == traj.final_pattern
+
+
+def test_ensemble_members_must_share_all_but_seed_and_i0():
+    from dataclasses import replace
+    grid = grid_of(solid(3, 3))
+    base = (grid, SimConfig(), MODEL)
+    for other, match in [
+            ((grid_of(solid(3, 4)), SimConfig(), MODEL), "grid shape"),
+            ((grid, SimConfig(temperature=0.0), MODEL), "SimConfig"),
+            ((grid, SimConfig(), replace(MODEL, boundary=BOUNDARY_ZERO_FLUX)),
+             "CellModel")]:
+        with pytest.raises(ValueError, match=match):
+            run_many([base, other])
+    with pytest.raises(ValueError, match="at least one member"):
+        run_many([])
+
+
 def reference_drive(y, u, templates, boundary):
     """The 3x3 template sum written as a padded slice loop over the nine
     offsets: sum(A y_neighbours) + sum(B u_neighbours) + I per cell."""
@@ -387,7 +449,7 @@ def test_operator_drive_equals_slice_loop(shape, boundary, app):
         templates = hebbian_train([(u, random_pattern(rng, shape)),
                                    (random_pattern(rng, shape), u)])
     model = replace(MODEL, boundary=boundary)
-    stepper = GridStepper(grid_of(u, templates), SimConfig(), model)
+    stepper = GridStepper([(grid_of(u, templates), SimConfig(), model)])
     for _ in range(200):
         m = rng.normal(size=shape + (3,))
         m /= np.linalg.norm(m, axis=-1, keepdims=True)
@@ -396,7 +458,7 @@ def test_operator_drive_equals_slice_loop(shape, boundary, app):
         expected = model.i0 * reference_drive(y, grid.u, templates, boundary) \
             * model.delivery_factor
         assert np.array_equal(net_currents(grid, model), expected)
-        assert np.array_equal(stepper.currents(y), expected)
+        assert np.array_equal(stepper.currents(y[None])[0], expected)
 
 
 @pytest.mark.parametrize("shape", [(30, 20), (6, 5), (1, 4), (1, 1)])

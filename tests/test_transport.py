@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from spincnn.transport import (ChannelParams, SynapseContribution,
@@ -117,12 +117,18 @@ class TestNetSpinCurrent:
 
     @given(st.lists(st.tuples(st.floats(-2, 2), st.sampled_from((-1, 0, 1))),
                     min_size=1, max_size=9))
+    @example(raw=[(1.0, 1), (1.0000000002, -1)])
     @settings(max_examples=60, deadline=None)
     def test_superposition(self, raw):
         contributions = [SynapseContribution(w, lvl) for w, lvl in raw]
         whole = net_spin_current(contributions, 1e-6, CH)
-        parts = sum(net_spin_current([c], 1e-6, CH) for c in contributions)
-        assert whole == pytest.approx(parts, rel=1e-12, abs=1e-24)
+        parts = [net_spin_current([c], 1e-6, CH) for c in contributions]
+        # each part is rounded at its own ulp before the parts cancel, so
+        # the sum of parts is exact only to a few eps of sum(|part|), and
+        # subnormal parts keep no relative precision at all
+        eps, tiny = np.finfo(float).eps, np.finfo(float).tiny
+        slack = 8 * eps * sum(abs(p) for p in parts) + tiny
+        assert whole == pytest.approx(sum(parts), rel=1e-12, abs=slack)
 
     def test_i0_must_be_positive(self):
         with pytest.raises(ValueError):

@@ -19,7 +19,6 @@ grouped, nor on the number of worker processes.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace as dc_replace
 
 import numpy as np
@@ -33,11 +32,6 @@ from .synapse import BRANCH_SIZES, DriveModel, LEVELS_PER_UNIT_WEIGHT, unit_curr
 
 CSV_HEADER = ("v_drive_V,size_mult,seed,converged,delay_ns,"
               "e_joule_fJ,e_leak_fJ,e_dyn_fJ,e_total_fJ,area_um2")
-
-# members per sweep ensemble: the grid kernel's cost per cell-step falls up
-# to about 16 stacked grids and rises again by 64, once its buffers leave
-# the cache
-ENSEMBLE_MAX = 16
 
 # gross width units of one programmable 4-magnet synapse, in units of the
 # unit-weight (level 4) driver: (4+2+1+1)/4
@@ -173,16 +167,18 @@ def spin_area(n_cells: int, hw: ScenarioHardware, size_multiplier: int,
     return n_cells * (transistor_area + passive_area)
 
 
-def _sweep_chunk(s: Scenario, points, cfg: SimConfig, base_model: CellModel,
-                 drive: DriveModel, ep: EnergyParams) -> list[SweepRecord]:
+def _sweep_chunk(chunk) -> list[SweepRecord]:
     """One ensemble of (voltage, size, seed) points, stepped by `run_many`."""
+    s, points, cfg, base_model, drive, ep = chunk
     members, drives = [], []
     for v, size, seed in points:
         d = dc_replace(drive, V_drive=v, size_multiplier=size)
         i0 = base_model.channel.beta * unit_current(d) * size
         noisy = add_noise(s.clean, s.noise_fraction, seed)
-        members.append((CnnGrid.from_pattern(noisy, noisy, s.templates),
-                        dc_replace(cfg, seed=seed), dc_replace(base_model, i0=i0)))
+        grid = (CnnGrid.recall(noisy, s.templates) if s.associative
+                else CnnGrid.from_pattern(noisy, noisy, s.templates))
+        members.append((grid, dc_replace(cfg, seed=seed),
+                        dc_replace(base_model, i0=i0)))
         drives.append(d)
     records = []
     for (v, size, seed), d, (_, _, model), traj in zip(
@@ -195,37 +191,42 @@ def _sweep_chunk(s: Scenario, points, cfg: SimConfig, base_model: CellModel,
     return records
 
 
-def sweep_voltage(s: Scenario, voltages, sizes, seeds, cfg: SimConfig,
-                  base_model: CellModel, drive: DriveModel, ep: EnergyParams,
-                  jobs: int = 1) -> list[SweepRecord]:
-    """Run the scenario at every (voltage, size, seed); i0 follows the IV
-    model. `sizes` is one driver size or a list of them.
+def sweep_parts(s: Scenario, voltages, sizes, seeds, cfg: SimConfig,
+                base_model: CellModel, drive: DriveModel, ep: EnergyParams,
+                jobs: int = 1):
+    """Run the scenario at every (voltage, size, seed) and yield the records
+    of each ensemble as it finishes; i0 follows the IV model.
 
     Every point is one member of a grid ensemble (`network.run_many`,
-    without frames). The points are dealt round-robin into `jobs` chunks,
-    or more where a chunk would exceed ENSEMBLE_MAX members, so that the
-    long sub-critical points spread over the chunks; with jobs > 1 the
-    chunks run in a pool of `jobs` worker processes. Each member's run is bit for bit the one it
-    gets alone, so the records do not depend on `jobs`.
+    without frames). The points are dealt round-robin into min(jobs,
+    points) ensembles, so that the long sub-critical points spread over
+    them; with jobs > 1 the ensembles run in a pool of worker processes.
+    Each member's run is bit for bit the one it gets alone, so the records
+    do not depend on `jobs`.
     """
     voltages = sorted(voltages)
     if len(voltages) < 3:
         raise ValueError("need at least 3 sweep voltages")
-    if s.associative and s.templates.kind != "space-varying":
-        raise ValueError("associative recall needs space-varying templates")
-    sizes = [sizes] if isinstance(sizes, int) else list(sizes)
     points = [(v, size, seed) for v in voltages for size in sizes
               for seed in seeds]
-    n_chunks = max(min(jobs, len(points)), math.ceil(len(points) / ENSEMBLE_MAX))
+    n_chunks = min(jobs, len(points))
     chunks = [(s, points[k::n_chunks], cfg, base_model, drive, ep)
               for k in range(n_chunks)]
-    if jobs > 1:
+    if n_chunks > 1:
         import multiprocessing as mp
-        with mp.get_context("spawn").Pool(min(jobs, n_chunks)) as pool:
-            parts = pool.starmap(_sweep_chunk, chunks)
+        with mp.Pool(n_chunks) as pool:
+            yield from pool.imap_unordered(_sweep_chunk, chunks)
     else:
-        parts = [_sweep_chunk(*chunk) for chunk in chunks]
-    records = [r for part in parts for r in part]
+        yield from map(_sweep_chunk, chunks)
+
+
+def sweep_voltage(s: Scenario, voltages, sizes, seeds, cfg: SimConfig,
+                  base_model: CellModel, drive: DriveModel, ep: EnergyParams,
+                  jobs: int = 1) -> list[SweepRecord]:
+    """All records of `sweep_parts`, sorted by (voltage, size, seed)."""
+    records = [r for part in sweep_parts(s, voltages, sizes, seeds, cfg,
+                                         base_model, drive, ep, jobs)
+               for r in part]
     records.sort(key=lambda r: (r.v_drive, r.size_mult, r.seed))
     return records
 

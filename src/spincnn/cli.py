@@ -35,7 +35,7 @@ import numpy as np
 
 from . import GLYPHS, load_glyph
 from .analysis import (EnergyParams, Scenario, aggregate, cmos_sweep, compare,
-                       pareto, records_to_csv, sweep_voltage)
+                       pareto, records_to_csv, sweep_parts)
 from .config import ConfigError, FullConfig, parse_config
 from .core import Pattern, frame_to_pgm, load_pattern_file, save_pattern
 from .dynamics import (analytic_critical_current, critical_spin_current,
@@ -296,11 +296,18 @@ def cmd_sweep(args, argv: list[str]) -> int:
     os.makedirs(args.out, exist_ok=True)
     manifest = _Manifest(argv, digest, None)
 
-    records = sweep_voltage(scenario, voltages, sizes, seeds, full.sim,
-                            full.cell_model(0.0), full.drive_model,
-                            full.energy, jobs=args.jobs)
-    _write(args.out, "sweep.csv", records_to_csv(records), manifest)
-    manifest.write(args.out)
+    records = []
+    try:
+        for part in sweep_parts(scenario, voltages, sizes, seeds, full.sim,
+                                full.cell_model(0.0), full.drive_model,
+                                full.energy, jobs=args.jobs):
+            records.extend(part)
+    finally:
+        # flush the ensembles that finished, even on interruption
+        records.sort(key=lambda r: (r.v_drive, r.size_mult, r.seed))
+        if records:
+            _write(args.out, "sweep.csv", records_to_csv(records), manifest)
+            manifest.write(args.out)
 
     frontier = pareto(records)
     if not frontier:

@@ -88,6 +88,13 @@ class CnnGrid:
         m[:, :, 2] = state
         return cls(m, inputs.to_array().astype(float), templates)
 
+    @classmethod
+    def recall(cls, cue: Pattern, templates: TemplateSet) -> "CnnGrid":
+        """Associative recall: the cue is both the initial state and the input."""
+        if templates.kind != "space-varying":
+            raise ValueError("associative recall needs space-varying templates")
+        return cls.from_pattern(cue, cue, templates)
+
     def logic_pattern(self, model: CellModel) -> Pattern:
         logic = np.where(self.m[:, :, 2] > model.logic_boundary_mz, 1, -1)
         return Pattern.from_array(logic)
@@ -369,11 +376,8 @@ def quantize_templates(weights: np.ndarray) -> np.ndarray:
 
 def run_associative(cue: Pattern, templates: TemplateSet, cfg: SimConfig,
                     model: CellModel) -> Trajectory:
-    """Recall run: the cue is both the initial state and the input image."""
-    if templates.kind != "space-varying":
-        raise ValueError("associative recall needs space-varying templates")
-    grid = CnnGrid.from_pattern(cue, cue, templates)
-    return run(grid, cfg, model)
+    """Recall run from `CnnGrid.recall`."""
+    return run(CnnGrid.recall(cue, templates), cfg, model)
 
 
 # ---------------------------------------------------------------------------

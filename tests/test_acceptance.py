@@ -265,7 +265,7 @@ def test_criterion_05_associative_memory():
     model = CellModel(i0=10 * ic)
     successes, times = 0, []
     cues = [add_noise(one, 4 / 600, seed) for seed in range(20)]
-    trajs = run_many([(CnnGrid.from_pattern(cue, cue, templates),
+    trajs = run_many([(CnnGrid.recall(cue, templates),
                        SimConfig(seed=seed, t_max=40e-9), model)
                       for seed, cue in enumerate(cues)], frames=False)
     for traj in trajs:
@@ -339,7 +339,7 @@ def test_criterion_07_synapse_codec():
 def nf_sweep():
     zero = load_glyph("zero")
     s = Scenario("noise-filter", zero, noise_filter_templates(), 0.1, zero)
-    recs = sweep_voltage(s, SWEEP_VOLTAGES, 1, SWEEP_SEEDS, SWEEP_CFG,
+    recs = sweep_voltage(s, SWEEP_VOLTAGES, [1], SWEEP_SEEDS, SWEEP_CFG,
                          CellModel(), DriveModel(), EnergyParams(), jobs=JOBS)
     return s, recs
 
@@ -351,7 +351,7 @@ def assoc_sweep():
     templates = hebbian_train([(one, two), (three, four)])
     s = Scenario("assoc", one, templates, 4 / 600, two, programmable=True,
                  associative=True)
-    recs = sweep_voltage(s, SWEEP_VOLTAGES, 1, SWEEP_SEEDS, SWEEP_CFG,
+    recs = sweep_voltage(s, SWEEP_VOLTAGES, [1], SWEEP_SEEDS, SWEEP_CFG,
                          CellModel(), DriveModel(), EnergyParams(), jobs=JOBS)
     return s, recs
 

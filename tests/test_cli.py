@@ -251,6 +251,31 @@ class TestSweep:
         assert rc == 1
         assert "is not finite at t = 0.1 ns (seed 3)" in capsys.readouterr().err
 
+    def test_interrupted_sweep_writes_finished_ensembles(
+            self, tmp_path, fast_config, monkeypatch, capsys):
+        # three points on three workers: one ensemble each; stop after the
+        # first ensemble returns
+        import spincnn.cli as cli
+        sweep_parts = cli.sweep_parts
+
+        def interrupted(*args, **kwargs):
+            parts = sweep_parts(*args, **kwargs)
+            yield next(parts)
+            parts.close()
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(cli, "sweep_parts", interrupted)
+        out = tmp_path / "sw"
+        with pytest.raises(KeyboardInterrupt):
+            main(["sweep", "--config", fast_config, "--voltages",
+                  "0.27,0.52,1.0", "--seeds", "0", "--jobs", "3",
+                  "--out", str(out)])
+        rows = (out / "sweep.csv").read_text().splitlines()[1:]
+        assert len(rows) == 1
+        assert rows[0].split(",")[0] in ("0.27", "0.52", "1")
+        assert not (out / "pareto.csv").exists()
+        assert "sweep.csv" in (out / "manifest.json").read_text()
+
     def test_jobs_determinism(self, tmp_path, fast_config, capsys):
         args = ["sweep", "--config", fast_config,
                 "--voltages", "0.27,0.52,1.0", "--seeds", "0,1"]

@@ -21,9 +21,11 @@ Two implementations of the Heun step exist. `heun_step` takes and returns
 steps a whole grid in place from preallocated buffers in a cyclic
 component-first layout, (5, rows, cols) holding x, y, z, x, y; it also
 steps an ensemble of independent single magnets as a (5, n) grid, which
-is how `switch_times` runs its realisations. Every element goes through
-the same floating-point operations in the same order as in `heun_step`,
-so both give the same bits.
+is how `switch_times` runs its realisations. It owns its inputs, a thermal
+buffer in the draw layout (*grid, 3) and a torque buffer, and binds every
+view of its buffers once, so a step is a fixed run of ufunc calls with no
+slicing. Every element goes through the same floating-point operations in
+the same order as in `heun_step`, so both give the same bits.
 """
 
 from __future__ import annotations
@@ -110,6 +112,13 @@ class GridHeun:
     a[k+2] b[k+1], so the whole product takes three ufunc calls on
     contiguous slices. Every call writes into a buffer.
 
+    The stepper owns its inputs: `noise`, the thermal field sample in the
+    draw layout (*grid, 3), and `torque`, the spin-torque rate of every
+    magnet, (*grid). A caller writes them in place, and `step()` reads
+    them. Every view that a step touches (row slices of the buffers, the
+    component columns of `noise`) is bound once, here, so a step is a
+    fixed sequence of ufunc calls on prebuilt views.
+
     Bit-identity contract: each element is computed by the expression tree
     of `heun_step` and `_drift`, with no reassociation: hz = thz + Hk mz,
     g = c (m x H) (+ torque on z), m.g = (mx gx + my gy) + mz gz,
@@ -124,57 +133,73 @@ class GridHeun:
         self.m, self.mp, self.h, self.g = (np.empty((5,) + shape) for _ in range(4))
         self.d1, self.d2, self.t = (np.empty((3,) + shape) for _ in range(3))
         self.s = np.empty(shape)
+        self.noise = np.zeros(shape + (3,))
+        self.torque = np.zeros(shape)
         self.m[:3] = np.moveaxis(m, -1, 0)
         self.m[3:] = self.m[:2]
+        # the views of every operand, bound once: of a cyclic buffer x,
+        # x[:3] is (x, y, z), x[1:4] is (y, z, x) and x[2:5] is (z, x, y)
+        th, h, g, t = np.moveaxis(self.noise, -1, 0), self.h, self.g, self.t
+        self._m, self._mp = ((x[2], x[:3], x[1:4], x[2:5], x[3:], x[:2])
+                             for x in (self.m, self.mp))
+        self._field = (h[2], h[1:4], h[2:5], th[2])
+        self._g = (g[:3], g[2], g[1:4], g[2:5], g[3:], g[:2])
+        self._t = (t, t[0], t[1], t[2])
+        self._thermal_xy = (h[:2], h[3:], th[:2])
+        self._d2 = (self.d2[0], self.d2[1], self.d2[2])
 
-    def _cross(self, a: np.ndarray, b: np.ndarray, out: np.ndarray) -> None:
-        np.multiply(a[1:4], b[2:5], out=out)
-        np.multiply(a[2:5], b[1:4], out=self.t)
-        out -= self.t
-
-    def _drift(self, m: np.ndarray, thz: np.ndarray, torque,
-               out: np.ndarray) -> None:
-        """out = `_drift` of m under its effective field; h must already
-        hold the thermal x, y rows."""
-        h, g, s, t = self.h, self.g, self.s, self.t
-        alpha, a2 = self.alpha, self.alpha * self.alpha
-        np.multiply(m[2], self.hk, out=h[2])
-        h[2] += thz
-        self._cross(m, h, g[:3])
-        g[:3] *= -GAMMA * MU0
-        g[2] += torque
-        g[3:] = g[:2]
-        np.multiply(m[:3], g[:3], out=t)
-        np.add(t[0], t[1], out=s)
-        s += t[2]
+    def _drift(self, m, out: np.ndarray) -> None:
+        """out = `_drift` of the state with bound views m under its
+        effective field; h must already hold the thermal x, y rows."""
+        mz, m3, m_yzx, m_zxy = m[:4]
+        hz, h_yzx, h_zxy, thz = self._field
+        g3, gz, g_yzx, g_zxy, g_tail, g_head = self._g
+        t, tx, ty, tz = self._t
+        s, alpha, a2 = self.s, self.alpha, self.alpha * self.alpha
+        np.multiply(mz, self.hk, hz)
+        hz += thz
+        np.multiply(m_yzx, h_zxy, g3)          # g = c (m x H) + torque
+        np.multiply(m_zxy, h_yzx, t)
+        g3 -= t
+        g3 *= -GAMMA * MU0
+        gz += self.torque
+        g_tail[...] = g_head
+        np.multiply(m3, g3, t)                 # s = alpha^2 (m . g)
+        np.add(tx, ty, s)
+        s += tz
         s *= a2
-        self._cross(m, g, out)
+        np.multiply(m_yzx, g_zxy, out)         # out = m x g
+        np.multiply(m_zxy, g_yzx, t)
+        out -= t
         out *= alpha
-        out += g[:3]
-        np.multiply(s, m[:3], out=t)
+        out += g3
+        np.multiply(s, m3, t)
         out += t
         out /= 1.0 + a2
 
-    def step(self, torque, th: np.ndarray) -> None:
-        """Advance every magnet one step under the thermal field sample th,
-        given component-first, (3, *grid); a transposed view will do."""
-        m, mp, d1, d2, s = self.m, self.mp, self.d1, self.d2, self.s
-        self.h[:2] = th[:2]
-        self.h[3:] = self.h[:2]
-        self._drift(m, th[2], torque, d1)
-        np.multiply(d1, self.dt, out=mp[:3])
-        mp[:3] += m[:3]
-        mp[3:] = mp[:2]
-        self._drift(mp, th[2], torque, d2)
+    def step(self) -> None:
+        """Advance every magnet one step under `noise` and `torque`."""
+        m3, m_tail, m_head = self._m[1], self._m[4], self._m[5]
+        mp3, mp_tail, mp_head = self._mp[1], self._mp[4], self._mp[5]
+        h_head, h_tail, th_xy = self._thermal_xy
+        d1, d2, s = self.d1, self.d2, self.s
+        h_head[...] = th_xy
+        h_tail[...] = h_head
+        self._drift(self._m, d1)
+        np.multiply(d1, self.dt, mp3)
+        mp3 += m3
+        mp_tail[...] = mp_head
+        self._drift(self._mp, d2)
         d1 += d2
         d1 *= 0.5 * self.dt
-        d1 += m[:3]
-        np.multiply(d1, d1, out=d2)
-        np.add(d2[0], d2[1], out=s)
-        s += d2[2]
-        np.sqrt(s, out=s)
-        np.divide(d1, s, out=m[:3])
-        m[3:] = m[:2]
+        d1 += m3
+        np.multiply(d1, d1, d2)                # |m| = sqrt((x^2 + y^2) + z^2)
+        x2, y2, z2 = self._d2
+        np.add(x2, y2, s)
+        s += z2
+        np.sqrt(s, s)
+        np.divide(d1, s, m3)
+        m_tail[...] = m_head
 
 
 def llg_step(m: np.ndarray, p: MagnetParams, Is: float, T: float, dt: float,
@@ -290,7 +315,8 @@ def switch_times(p: MagnetParams, Is: float, T: float, seeds,
         raise ValueError(f"dt = {cfg.dt} exceeds stability guard {MAX_DT}")
     n, tilt = len(seeds), math.radians(tilt_deg)
     heun = GridHeun(np.tile([math.sin(tilt), 0.0, math.cos(tilt)], (n, 1)), p, cfg.dt)
-    torque, sigma = stt_rate(p, Is), thermal_sigma(p, T, cfg.dt)
+    heun.torque[...] = stt_rate(p, Is)
+    sigma = thermal_sigma(p, T, cfg.dt)
     pending = {k: make_rng(seed, STREAM_SWITCH) for k, seed in enumerate(seeds)}
     noise, mz = np.zeros((n, SWITCH_BLOCK, 3)), np.empty((SWITCH_BLOCK, n))
     times: list[float | None] = [None] * n
@@ -300,7 +326,8 @@ def switch_times(p: MagnetParams, Is: float, T: float, seeds,
             rng.standard_normal(out=noise[k])
             noise[k] *= sigma
         for j in range(min(SWITCH_BLOCK, n_steps - start)):
-            heun.step(torque, noise[:, j].T)
+            heun.noise[...] = noise[:, j]
+            heun.step()
             mz[j] = heun.m[2]
         crossed = mz[:n_steps - start] <= -cfg.mz_threshold
         for k in [k for k in pending if crossed[:, k].any()]:

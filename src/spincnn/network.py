@@ -159,10 +159,11 @@ class GridStepper:
     (the dt guard is checked once). Each member has one Philox generator
     keyed by (seed, STREAM_LLG): step n, counted from 0, resets its counter
     to n before the draw, which gives the bits of make_rng(seed,
-    STREAM_LLG, n), into the member's slice of a reused
-    (members, rows, cols, 3) buffer. `y`, `Is` and `torque` hold the logic
-    outputs and the drive they give; `step` rebuilds the drive only when
-    some output flips.
+    STREAM_LLG, n), straight into the member's slice of the kernel's
+    (members, rows, cols, 3) `noise` buffer. `y` and `Is` hold the logic
+    outputs and the drive they give, and each drive rebuild writes its
+    torque into the kernel's `torque` buffer; `step` rebuilds the drive
+    only when some output flips.
 
     `sample` and `stop` are the callbacks of `core.settle`. `stop` records
     a member's `Trajectory` in `trajectories`, at the member's position in
@@ -189,6 +190,7 @@ class GridStepper:
             raise ValueError(f"dt = {cfg.dt} exceeds stability guard {dynamics.MAX_DT}")
         self.model, self.dt, self.frames = model, cfg.dt, frames
         self.mz_threshold = cfg.mz_threshold
+        self.abs_b = abs(model.logic_boundary_mz)
         self.sigma = dynamics.thermal_sigma(model.magnet, cfg.temperature, cfg.dt)
         self.heun = dynamics.GridHeun(np.stack([g.m for g, _, _ in members]),
                                       model.magnet, cfg.dt)
@@ -213,9 +215,10 @@ class GridStepper:
             sparse.block_diag([m.W for m in run], format="csr")
         self.c = np.concatenate([m.c for m in run])
         self.i0 = np.array([m.i0 for m in run]).reshape(-1, 1, 1)
-        self.noise = np.zeros(self.heun.m.shape[1:] + (3,))
-        self.noise_by_component = np.moveaxis(self.noise, -1, 0)
-        self.draws = [(m.rng, m.rng_state, out) for m, out in zip(run, self.noise)]
+        self.draws = [(m.rng, m.rng_state, out)
+                      for m, out in zip(run, self.heun.noise)]
+        self.ymz = np.empty(self.mz.shape)
+        self.certified = False
 
     def outputs(self) -> np.ndarray:
         """Bipolar logic outputs read from the current magnetizations."""
@@ -228,24 +231,42 @@ class GridStepper:
         return self.i0 * weights * self.model.delivery_factor
 
     def _drive(self) -> None:
+        """Rebuild the drive from `y`: `Is`, the kernel's torque and
+        `held`, per member min(Is y) >= 0."""
         self.Is = self.currents(self.y)
-        self.torque = dynamics.stt_rate(self.model.magnet, self.Is)
+        self.heun.torque[...] = dynamics.stt_rate(self.model.magnet, self.Is)
+        self.held = (np.minimum.reduce(self.Is * self.y, axis=(1, 2))
+                     >= 0.0).tolist()
 
-    def advance(self, torque) -> None:
-        """One synchronous LLG step of every magnet under `torque`."""
+    def advance(self) -> None:
+        """One synchronous LLG step of every magnet under the kernel's
+        torque: each member draws its sample into its slice of
+        `heun.noise`."""
         if self.sigma:
             for rng, state, out in self.draws:
                 state["state"]["counter"][3] = self.step_index
                 rng.bit_generator.state = state
                 rng.standard_normal(out=out)
-            self.noise *= self.sigma
-        self.heun.step(torque, self.noise_by_component)
+            self.heun.noise *= self.sigma
+        self.heun.step()
         self.step_index += 1
 
     def step(self) -> None:
         """Advance under the current drive, then rebuild the drive if some
-        logic output flipped: the same bits as rebuilding it every step."""
-        self.advance(self.torque)
+        logic output flipped: the same bits as rebuilding it every step.
+
+        First q = min over its cells of y m_z is taken per member. A cell
+        with y m_z > |b|, b the logic boundary, still reads y, so when
+        every member has q > |b| no output can have flipped: the step is
+        `certified` and skips the read and the compare. Otherwise it reads
+        the outputs and compares them, as every step did before.
+        """
+        self.advance()
+        np.multiply(self.y, self.mz, out=self.ymz)
+        self.q = np.minimum.reduce(self.ymz, axis=(1, 2)).tolist()
+        self.certified = all(q > self.abs_b for q in self.q)
+        if self.certified:
+            return
         y = self.outputs()
         if (y != self.y).any():
             self.y = y
@@ -259,7 +280,16 @@ class GridStepper:
         from the slow early escape from the pole, where a driven magnet
         still sits at |m_z| > threshold, and keeps sub-critically driven
         wrong pixels reported as non-converged.
+
+        After a certified `step` every cell has y m_z > |b| >= 0, so
+        sign(m_z) = y: q is the |m_z| minimum, and Is sign(m_z) = Is y,
+        whose per-member minimum changes only at a drive rebuild (`held`).
+        The check is then q >= mz_threshold and `held`, the same bools.
+        After any other step it reads |m_z| and sign(m_z) directly.
         """
+        if self.certified:
+            return [q >= self.mz_threshold and held
+                    for q, held in zip(self.q, self.held)]
         low = np.minimum.reduce(np.abs(self.mz), axis=(1, 2))
         ok = (low >= self.mz_threshold).tolist()
         if not any(ok):
@@ -315,8 +345,11 @@ def run_many(members, frames: bool = True) -> list[Trajectory]:
     """
     s = GridStepper(members, frames)
     cfg = members[0][1]
-    settle(s.step, s.settled, s.sample, s.stop, cfg.dt, cfg.t_max,
-           cfg.hold_time, cfg.sample_interval)
+    # a state that overflows is reported once, by the finite check of
+    # `GridStepper.sample`, not by a warning from each kernel call
+    with np.errstate(all="ignore"):
+        settle(s.step, s.settled, s.sample, s.stop, cfg.dt, cfg.t_max,
+               cfg.hold_time, cfg.sample_interval)
     return s.trajectories
 
 

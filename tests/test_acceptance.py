@@ -21,7 +21,7 @@ from spincnn.cmos import (AmplifierModel, ChuaParams, cmos_energy,
 from spincnn.constants import GAMMA, KB, MU0
 from spincnn.core import (MagnetParams, SimConfig, TemplateSet, add_noise,
                           make_rng)
-from spincnn.dynamics import (analytic_critical_current,
+from spincnn.dynamics import (GridHeun, analytic_critical_current,
                               critical_spin_current, heun_step, llg_step,
                               thermal_sigma)
 from spincnn.network import (CellModel, CnnGrid, hebbian_train,
@@ -96,13 +96,22 @@ def test_criterion_01_llg_physics_suite():
     ens = rng.standard_normal((n_mag, 3))
     ens /= np.linalg.norm(ens, axis=-1, keepdims=True)
     sigma = thermal_sigma(pr, T, dt)
+    # the grid kernel at zero torque, bit for bit a heun_step loop fed
+    # rng.standard_normal((n_mag, 3)) * sigma per step
+    heun = GridHeun(ens, pr, dt)
+
+    def step():
+        rng.standard_normal(out=heun.noise)
+        heun.noise *= sigma
+        heun.step()
+
     for _ in range(10000):  # burn-in ~3 relaxation times
-        ens = heun_step(ens, pr, 0.0, rng.standard_normal((n_mag, 3)) * sigma, dt)
+        step()
     samples = []
     for i in range(5000):
-        ens = heun_step(ens, pr, 0.0, rng.standard_normal((n_mag, 3)) * sigma, dt)
+        step()
         if i % 10 == 0:
-            samples.append(1.0 - ens[:, 2] ** 2)
+            samples.append(1.0 - heun.m[2] ** 2)
     samples = np.concatenate(samples)
     assert samples.size >= 10 ** 6
     mean_sim = ku * pr.volume * samples.mean()

@@ -2,10 +2,13 @@
 
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import spincnn
 from spincnn import load_glyph
 from spincnn.cli import main
 from spincnn.core import (MagnetParams, SimConfig, add_noise,
@@ -160,6 +163,21 @@ class TestSimulate:
         assert "error: magnetisation is not finite at t = 0.1 ns (seed 4)" \
             in capsys.readouterr().err
         assert not out.exists()
+
+    def test_non_finite_state_writes_only_the_error_line(self, tmp_path):
+        # a fresh interpreter with warnings shown: the overflow inside the
+        # kernel must not reach stderr ahead of the error line
+        cfg = tmp_path / "wild.cfg"
+        cfg.write_text("[drive]\ni0 = 1e200\n")
+        src = os.path.dirname(os.path.dirname(spincnn.__file__))
+        env = dict(os.environ, PYTHONPATH=src, PYTHONWARNINGS="default")
+        proc = subprocess.run(
+            [sys.executable, "-m", "spincnn.cli", "simulate", "--config",
+             str(cfg), "--pattern", "zero", "--seed", "4", "--out",
+             str(tmp_path / "o")], capture_output=True, text=True, env=env)
+        assert proc.returncode == 1
+        assert proc.stderr.splitlines() == [
+            "error: magnetisation is not finite at t = 0.1 ns (seed 4)"]
 
     def test_unrepresentable_template_level_names_file_and_line(
             self, tmp_path, capsys):

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from spincnn.constants import GAMMA, KB, MU0, Q
 from spincnn.core import STREAM_SWITCH, MagnetParams, SimConfig, make_rng
-from spincnn.dynamics import (MAX_DT, analytic_critical_current,
+from spincnn.dynamics import (MAX_DT, GridHeun, analytic_critical_current,
                               critical_spin_current, effective_field,
                               heun_step, llg_step, stt_rate, switch_times,
                               thermal_sigma)
@@ -152,6 +152,31 @@ class TestCriticalCurrent:
         # finite-horizon bias inflates the low-barrier result (slower
         # precession), so only a coarse monotone drop is asserted
         assert small < full / 3
+
+
+@pytest.mark.parametrize("shape", [(7,), (1, 4, 3), (3, 4, 3)])
+@pytest.mark.parametrize("per_cell", [False, True], ids=["scalar", "per-cell"])
+@pytest.mark.parametrize("T", [0.0, 300.0])
+def test_grid_heun_equals_heun_step_loop(shape, per_cell, T):
+    # the kernel on its owned noise and torque buffers, step by step,
+    # against `heun_step` on the (*grid, 3) layout with the same inputs
+    rng = RNG(31)
+    m = rng.normal(size=shape + (3,))
+    m /= np.linalg.norm(m, axis=-1, keepdims=True)
+    rate = stt_rate(P, 10 * analytic_critical_current(P))
+    torque = rate * rng.choice((-1.0, 1.0), shape) if per_cell else rate
+    sigma = thermal_sigma(P, T, 1e-12)
+    draws = make_rng(5, STREAM_SWITCH)
+    heun = GridHeun(m, P, 1e-12)
+    heun.torque[...] = torque
+    for _ in range(60):
+        thermal = draws.standard_normal(shape + (3,)) * sigma if sigma \
+            else np.zeros(shape + (3,))
+        heun.noise[...] = thermal
+        heun.step()
+        m = heun_step(m, P, torque, thermal, 1e-12)
+        assert np.array_equal(np.moveaxis(heun.m[:3], 0, -1), m)
+        assert np.array_equal(heun.m[3:], heun.m[:2])
 
 
 def reference_switch_time(p, Is, T, seed, cfg, tilt_deg=0.0):

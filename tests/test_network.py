@@ -14,6 +14,7 @@ from spincnn.network import (BOUNDARY_MINUS_ONE, BOUNDARY_ZERO_FLUX,
                              load_templates, net_currents,
                              noise_filter_templates, quantize_templates, run,
                              run_associative, run_many, save_templates)
+from spincnn.readpath import InverterModel
 
 IC = analytic_critical_current(MagnetParams())
 MODEL = CellModel(i0=10 * IC)
@@ -79,7 +80,8 @@ def steps(grid, cfg, model, n):
     under the currents of the outputs read before it."""
     s = GridStepper([(grid, cfg, model)])
     for _ in range(n):
-        s.advance(stt_rate(model.magnet, s.currents(s.outputs())))
+        s.heun.torque[...] = stt_rate(model.magnet, s.currents(s.outputs()))
+        s.advance()
     return np.moveaxis(s.heun.m[:3, 0], 0, -1)
 
 
@@ -378,6 +380,47 @@ def test_ensemble_members_are_bit_identical_to_reference_loop(boundary,
         assert np.array_equal(last.mz, traj.mz[-1:])
         assert last.convergence_time == traj.convergence_time
         assert last.final_pattern == traj.final_pattern
+
+
+@pytest.mark.parametrize("v_th", [0.38, 0.5], ids=["b=+0.49", "b=-0.95"])
+@pytest.mark.parametrize("temperature", [300.0, 0.0])
+def test_members_match_reference_loop_off_zero_logic_boundary(v_th,
+                                                              temperature):
+    # the stepper certifies a step without reading the outputs when every
+    # y m_z clears |b|, and then settles from that certificate; a boundary
+    # inside mz_threshold and one outside it are held to the plain loop
+    from dataclasses import replace
+    cfg = SimConfig(temperature=temperature, t_max=1.2e-9, hold_time=0.1e-9,
+                    dt=2e-12)
+    model = replace(MODEL, inverter=InverterModel(V_th=v_th))
+    b = model.logic_boundary_mz
+    assert (abs(b) < cfg.mz_threshold) == (v_th == 0.38)
+    rng = np.random.default_rng(12)
+    cue = random_pattern(rng, (6, 5))
+    hebbian = hebbian_train([(cue, random_pattern(rng, (6, 5))),
+                             (random_pattern(rng, (6, 5)), cue)])
+    members = []
+    for seed, templates, i0_over_ic, tilt in [
+            (3, noise_filter_templates(), 10, 0.3),
+            (4, hebbian, 10, 0.2),
+            (6, noise_filter_templates(), 30, 0.0),
+            (7, hebbian, 20, 0.0)]:
+        start = random_pattern(rng, (6, 5))
+        m = np.zeros((6, 5, 3))
+        m[:, :, 2] = start.to_array()
+        m += rng.normal(scale=tilt, size=m.shape)
+        m /= np.linalg.norm(m, axis=-1, keepdims=True)
+        members.append((CnnGrid(m, start.to_array().astype(float), templates),
+                        replace(cfg, seed=seed),
+                        replace(model, i0=i0_over_ic * IC)))
+    trajs = run_many(members)
+    assert any(t.converged for t in trajs)
+    for member, traj in zip(members, trajs):
+        times, frames, conv_time, final = reference_run(*member)
+        assert np.array_equal(traj.times, times)
+        assert np.array_equal(traj.mz, frames)
+        assert traj.convergence_time == conv_time
+        assert traj.final_pattern == final
 
 
 def test_ensemble_members_must_share_all_but_seed_and_i0():

@@ -25,10 +25,11 @@ import numpy as np
 
 from . import cmos as cmos_mod
 from .core import Pattern, SimConfig, TemplateSet, add_noise
-from .dynamics import analytic_critical_current
 from .network import CellModel, CnnGrid, Trajectory, run_many
 from .readpath import mtj_resistance
-from .synapse import BRANCH_SIZES, DriveModel, LEVELS_PER_UNIT_WEIGHT, unit_current
+from .synapse import (BRANCH_SIZES, DriveModel, LEVELS_PER_UNIT_WEIGHT,
+                      drive_current, unit_current)
+from .transport import injected_spin_current
 
 CSV_HEADER = ("v_drive_V,size_mult,seed,converged,delay_ns,"
               "e_joule_fJ,e_leak_fJ,e_dyn_fJ,e_total_fJ,area_um2")
@@ -44,8 +45,6 @@ class EnergyParams:
 
     c_gate_unit: float = 4e-15      # gate capacitance per unit driver width [F]
     inverter_leakage: float = 8e-6  # static read-path current per cell [A]
-    feature_size: float = 16e-9     # minimum feature size F [m]
-    min_width_f: float = 4.0        # unit driver width in units of F
     inverter_width_units: float = 4.0
     mtj_footprint: float = 900e-18  # [m^2] each, two per cell
     magnet_footprint: float = 900e-18  # 30 nm x 30 nm
@@ -110,19 +109,17 @@ class ScenarioHardware:
 
 @dataclass(frozen=True)
 class Scenario:
-    """One application run: clean image, templates, noise injection."""
+    """One application run: clean image, templates, noise injection. The
+    noisy image is both the initial state and the input."""
 
     name: str
     clean: Pattern
     templates: TemplateSet
     noise_fraction: float
-    target: Pattern               # expected final pattern
-    programmable: bool = False
-    associative: bool = False
 
     @property
     def hardware(self) -> ScenarioHardware:
-        if self.programmable:
+        if self.templates.kind == "space-varying":
             return ScenarioHardware.programmable()
         return ScenarioHardware.fixed(self.templates)
 
@@ -139,8 +136,8 @@ def spin_energy(traj: Trajectory, drive: DriveModel, model: CellModel,
     n_cells = traj.final_pattern.rows * traj.final_pattern.cols
     if t == 0.0:
         return EnergyBreakdown(0.0, 0.0, 0.0)
-    i_unit = unit_current(drive) * drive.size_multiplier
-    joule = hw.gross_units * n_cells * drive.V_drive * i_unit * t
+    joule = hw.gross_units * n_cells * drive.V_drive \
+        * drive_current(drive, True) * t
     r_stack = (mtj_resistance(model.mtj, model.mtj.t_ox_ref, 1.0)
                + mtj_resistance(model.mtj, model.mtj.t_ox_read, 1.0))
     p_read = model.mtj.V_read ** 2 / r_stack
@@ -158,10 +155,10 @@ def spin_area(n_cells: int, hw: ScenarioHardware, size_multiplier: int,
     """Cell area: drivers + inverter (width x 8F) + MTJ and magnet footprints."""
     if n_cells <= 0 or size_multiplier < 1:
         raise ValueError("positive cell count and size required")
-    w_min = ep.min_width_f * ep.feature_size
+    w_min = cmos_mod.MIN_WIDTH_F * cmos_mod.FEATURE_SIZE
     driver_w = hw.gross_units * size_multiplier * w_min
     inverter_w = ep.inverter_width_units * w_min
-    transistor_area = (driver_w + inverter_w) * 8.0 * ep.feature_size
+    transistor_area = (driver_w + inverter_w) * 8.0 * cmos_mod.FEATURE_SIZE
     magnets = 1 + hw.n_synapses * hw.magnets_per_synapse
     passive_area = 2 * ep.mtj_footprint + magnets * ep.magnet_footprint
     return n_cells * (transistor_area + passive_area)
@@ -173,10 +170,12 @@ def _sweep_chunk(chunk) -> list[SweepRecord]:
     members, drives = [], []
     for v, size, seed in points:
         d = dc_replace(drive, V_drive=v, size_multiplier=size)
-        i0 = base_model.channel.beta * unit_current(d) * size
+        # (beta I_unit) size; beta (size I_unit), as from `drive_current`,
+        # differs in the last bit at beta = 0.3 and size 3 or 5
+        i0 = injected_spin_current(unit_current(d), base_model.channel.beta) \
+            * size
         noisy = add_noise(s.clean, s.noise_fraction, seed)
-        grid = (CnnGrid.recall(noisy, s.templates) if s.associative
-                else CnnGrid.from_pattern(noisy, noisy, s.templates))
+        grid = CnnGrid.from_pattern(noisy, noisy, s.templates)
         members.append((grid, dc_replace(cfg, seed=seed),
                         dc_replace(base_model, i0=i0)))
         drives.append(d)
@@ -301,7 +300,7 @@ def compare(spin_frontier, cmos_records, delay_window: float = 2.0) -> dict:
 def cmos_sweep(s: Scenario, scales, amp: cmos_mod.AmplifierModel):
     """CMOS design points for the scenario (calibrated model)."""
     hw = s.hardware
-    syn_factor = 1.5 if s.programmable else 1.0
+    syn_factor = 1.5 if s.templates.kind == "space-varying" else 1.0
     out = []
     for scale in scales:
         energy, delay = cmos_mod.cmos_energy(amp, scale, s.n_cells,

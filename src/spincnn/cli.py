@@ -30,21 +30,20 @@ import math
 import os
 import sys
 import time
+from dataclasses import replace
 
 import numpy as np
 
 from . import GLYPHS, load_glyph
-from .analysis import (EnergyParams, Scenario, aggregate, cmos_sweep, compare,
-                       pareto, records_to_csv, sweep_parts)
+from .analysis import (Scenario, cmos_sweep, compare, pareto, records_to_csv,
+                       sweep_parts)
 from .config import ConfigError, FullConfig, parse_config
 from .core import Pattern, frame_to_pgm, load_pattern_file, save_pattern
 from .dynamics import (analytic_critical_current, critical_spin_current,
                        switch_times)
-from .network import (CellModel, CnnGrid, hebbian_train, load_templates,
-                      noise_filter_templates, run, run_associative,
-                      save_templates)
-from .readpath import read_cell
-from .synapse import unit_current
+from .network import (CnnGrid, hebbian_train, load_templates,
+                      noise_filter_templates, run, save_templates)
+from .readpath import divider_voltage, read_cell
 from .transport import numeric_transmission, spin_transmission
 
 EXIT_OK = 0
@@ -130,12 +129,13 @@ def _write(out_dir: str, name: str, text: str, manifest: _Manifest) -> str:
     return path
 
 
-def _trajectory_csv(traj) -> str:
-    """Per-sample summary: saturation and distance from the initial pattern."""
+def _trajectory_csv(traj, boundary: float) -> str:
+    """Per-sample summary: saturation and distance from the initial pattern;
+    a cell reads +1 above the model's logic boundary m_z = `boundary`."""
     init = traj.initial_pattern.to_array()
     lines = ["time_ns,mean_mz,min_abs_mz,n_black,hamming_to_initial"]
     for t, frame in zip(traj.times, traj.mz):
-        logic = np.where(frame > 0.0, 1, -1)
+        logic = np.where(frame > boundary, 1, -1)
         lines.append(",".join([
             f"{t * 1e9:.6g}",
             f"{float(np.mean(frame)):.6g}",
@@ -153,7 +153,6 @@ def cmd_simulate(args, argv: list[str]) -> int:
     full, digest = _load_config(args.config)
     cfg = full.sim
     if args.seed is not None:
-        from dataclasses import replace
         cfg = replace(cfg, seed=args.seed)
     pattern = _load_pattern_arg(args.pattern)
     model = full.cell_model(_demo_i0(full))
@@ -173,7 +172,7 @@ def cmd_simulate(args, argv: list[str]) -> int:
             raise CliError(f"templates {args.templates}: trained for "
                            f"{ta.shape[0]}x{ta.shape[1]} grids, pattern is "
                            f"{pattern.rows}x{pattern.cols}")
-        traj = run_associative(pattern, templates, cfg, model)
+        traj = run(CnnGrid.recall(pattern, templates), cfg, model)
     else:
         templates = noise_filter_templates()
         grid = CnnGrid.from_pattern(pattern, pattern, templates)
@@ -181,7 +180,8 @@ def cmd_simulate(args, argv: list[str]) -> int:
 
     os.makedirs(args.out, exist_ok=True)
     manifest = _Manifest(argv, digest, cfg.seed)
-    _write(args.out, "trajectory.csv", _trajectory_csv(traj), manifest)
+    _write(args.out, "trajectory.csv",
+           _trajectory_csv(traj, model.logic_boundary_mz), manifest)
     stride = max(1, math.ceil(len(traj.mz) / MAX_FRAME_IMAGES))
     indices = list(range(0, len(traj.mz), stride))
     if indices[-1] != len(traj.mz) - 1:
@@ -237,16 +237,15 @@ def _list(text: str, flag: str, kind) -> list:
     return values
 
 
-def _scenario(app: str, full: FullConfig) -> Scenario:
+def _scenario(app: str) -> Scenario:
     """Built-in sweep scenarios on the bundled glyph set."""
     if app == "assoc":
         one, two = load_glyph("one"), load_glyph("two")
         three, four = load_glyph("three"), load_glyph("four")
         templates = hebbian_train([(one, two), (three, four)])
-        return Scenario("assoc", one, templates, 4 / 600, two,
-                        programmable=True, associative=True)
-    zero = load_glyph("zero")
-    return Scenario("noise-filter", zero, noise_filter_templates(), 0.1, zero)
+        return Scenario("assoc", one, templates, 4 / 600)
+    return Scenario("noise-filter", load_glyph("zero"),
+                    noise_filter_templates(), 0.1)
 
 
 def _pareto_csv(frontier) -> str:
@@ -292,7 +291,7 @@ def cmd_sweep(args, argv: list[str]) -> int:
         raise CliError("--voltages: need at least 3 sweep voltages")
     if args.jobs < 1:
         raise CliError("--jobs must be >= 1")
-    scenario = _scenario(args.app, full)
+    scenario = _scenario(args.app)
     os.makedirs(args.out, exist_ok=True)
     manifest = _Manifest(argv, digest, None)
 
@@ -354,9 +353,6 @@ def _oracle_transmission(full: FullConfig) -> int:
 
 
 def _oracle_read_curve(full: FullConfig) -> int:
-    from dataclasses import replace
-
-    from .readpath import divider_voltage
     thicknesses = (1.9e-9, 2.0e-9, 2.1e-9)
     mz = np.linspace(-1.0, 1.0, 41)
     header = "mz," + ",".join(

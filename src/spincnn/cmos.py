@@ -33,6 +33,10 @@ import numpy as np
 
 from .core import BOUNDARY_MINUS_ONE, TemplateSet, settle, template_operator
 
+# the process geometry of both sides: feature size F [m], unit width [F]
+FEATURE_SIZE = 16e-9
+MIN_WIDTH_F = 4.0
+
 
 @dataclass(frozen=True)
 class ChuaParams:
@@ -57,8 +61,6 @@ class AmplifierModel:
     delay_0: float = 100e-9       # convergence delay at unit scale [s]
     delay_floor: float = 10e-9    # bandwidth/DC-gain limit [s]
     p_leak: float = 0.0           # scale-independent static power per cell [W]
-    feature_size: float = 16e-9   # minimum feature size F [m]
-    min_width_f: float = 4.0      # minimum transistor width in units of F
     amp_widths: tuple[float, ...] = (2, 2, 2, 2, 2, 2, 2)  # 7-transistor op amp
     ota_base_width: float = 6.0   # fixed OTA transistors per synapse stage
     sign_overhead_width: float = 8.0  # inverter + mux + memory per synapse
@@ -172,9 +174,9 @@ def cmos_area(synapse_count: int, resolution_bits: int, a: AmplifierModel,
     """
     if synapse_count < 0 or resolution_bits < 1 or n_cells <= 0:
         raise ValueError("counts must be positive")
-    w_min = a.min_width_f * a.feature_size
+    w_min = MIN_WIDTH_F * FEATURE_SIZE
     neuron_w = sum(a.amp_widths)
     tail_w = sum(2 ** b for b in range(resolution_bits))
     syn_w = a.ota_base_width + tail_w + a.sign_overhead_width
     total_width = n_cells * (neuron_w + synapse_count * syn_w) * w_min
-    return total_width * 8.0 * a.feature_size
+    return total_width * 8.0 * FEATURE_SIZE

@@ -7,7 +7,7 @@ pointing up (+z), -1 = white = magnetization pointing down (-z).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view

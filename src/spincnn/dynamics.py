@@ -16,7 +16,7 @@ renormalization of m.
 
 Sign convention: positive spin current drives m_z toward +1.
 
-Two implementations of the Heun step exist. `heun_step` takes and returns
+Three implementations of the Heun step exist. `heun_step` takes and returns
 (..., 3) arrays and serves single magnets and small batches. `GridHeun`
 steps a whole grid in place from preallocated buffers in a cyclic
 component-first layout, (5, rows, cols) holding x, y, z, x, y; it also
@@ -25,7 +25,9 @@ is how `switch_times` runs its realisations. It owns its inputs, a thermal
 buffer in the draw layout (*grid, 3) and a torque buffer, and binds every
 view of its buffers once, so a step is a fixed run of ufunc calls with no
 slicing. Every element goes through the same floating-point operations in
-the same order as in `heun_step`, so both give the same bits.
+the same order as in `heun_step`, so both give the same bits. The third
+is the scalar float loop of `_deterministic_switches`, one noiseless
+magnet, unrolled for the critical-current bisection.
 """
 
 from __future__ import annotations

@@ -18,7 +18,7 @@ of every cell is W @ y + c, from the operator that
 logic output flips. Bit-identity contract: every member's trajectory
 equals, bit for bit, the plain loop of `dynamics.heun_step` on its own
 (rows, cols, 3) layout, with one make_rng(seed, STREAM_LLG, n) draw per
-step n and `net_currents` rebuilt from the logic outputs after every step,
+step n and the drive rebuilt from the logic outputs after every step,
 whatever the other members of its ensemble.
 """
 
@@ -37,7 +37,7 @@ from .core import (BOUNDARY_MINUS_ONE, BOUNDARY_ZERO_FLUX, STREAM_LLG,
 from .readpath import InverterModel, MtjParams, logic_mz_boundary
 from .synapse import (LEVELS_PER_UNIT_WEIGHT, quantize_weight,
                       representable_weights)
-from .transport import ChannelParams, spin_transmission
+from .transport import ChannelParams
 
 
 @dataclass(frozen=True)
@@ -60,11 +60,6 @@ class CellModel:
     def logic_boundary_mz(self) -> float:
         b = logic_mz_boundary(self.mtj, self.inverter)
         return 0.0 if abs(b) < 1e-12 else b
-
-    @cached_property
-    def delivery_factor(self) -> float:
-        ch = self.channel
-        return (1.0 - ch.ground_spin_sink) * spin_transmission(ch.L, ch.l_sf)
 
 
 @dataclass
@@ -126,7 +121,7 @@ def net_currents(grid: CnnGrid, model: CellModel) -> np.ndarray:
     y = np.where(grid.m[:, :, 2] > model.logic_boundary_mz, 1.0, -1.0)
     W, c = template_operator(grid.templates, grid.u, model.boundary)
     return model.i0 * (W @ y.reshape(-1) + c).reshape(y.shape) \
-        * model.delivery_factor
+        * model.channel.delivery
 
 
 @dataclass
@@ -228,7 +223,7 @@ class GridStepper:
         """Net spin currents [A] for the logic outputs y of the running
         members, shape (members, rows, cols)."""
         weights = (self.W @ y.reshape(-1) + self.c).reshape(y.shape)
-        return self.i0 * weights * self.model.delivery_factor
+        return self.i0 * weights * self.model.channel.delivery
 
     def _drive(self) -> None:
         """Rebuild the drive from `y`: `Is`, the kernel's torque and
@@ -405,12 +400,6 @@ def hebbian_train(pairs: list[tuple[Pattern, Pattern]],
 def quantize_templates(weights: np.ndarray) -> np.ndarray:
     """Snap template-unit weights to representable synapse levels / 4."""
     return quantize_weight(weights * LEVELS_PER_UNIT_WEIGHT) / LEVELS_PER_UNIT_WEIGHT
-
-
-def run_associative(cue: Pattern, templates: TemplateSet, cfg: SimConfig,
-                    model: CellModel) -> Trajectory:
-    """Recall run from `CnnGrid.recall`."""
-    return run(CnnGrid.recall(cue, templates), cfg, model)
 
 
 # ---------------------------------------------------------------------------

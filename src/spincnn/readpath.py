@@ -93,12 +93,9 @@ def inverter_out(inv: InverterModel, v_in: float) -> float:
     return min(max(v, 0.0), inv.V_dd)
 
 
-def read_cell(p: MtjParams, inv: InverterModel, mz: float,
-              t_ox_read: float | None = None) -> tuple[float, int]:
+def read_cell(p: MtjParams, inv: InverterModel,
+              mz: float) -> tuple[float, int]:
     """Analog inverter output [V] and binary logic level for one neuron."""
-    if t_ox_read is not None:
-        p = MtjParams(p.t_ox_ref, t_ox_read, p.R_P_at_2nm, p.lambda_ox,
-                      p.TMR, p.V_read)
     analog = inverter_out(inv, divider_voltage(p, mz))
     logic = 1 if analog > inv.V_dd / 2.0 else -1
     return analog, logic

@@ -14,7 +14,7 @@ log-linearly (straight lines in log V - log I).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import product
 
 import numpy as np
@@ -79,21 +79,6 @@ def quantize_weight(w_real, max_level: int = 8):
                               if abs(v) <= max_level), key=abs, reverse=True))
     q = levels[np.argmin(np.abs(levels - w[..., None]), axis=-1)]
     return int(q) if q.ndim == 0 else q
-
-
-def program_synapse(target_weight: int,
-                    old: SynapseConfig | None = None) -> tuple[SynapseConfig, int]:
-    """Instantaneous state assignment; event count = signs flipped.
-
-    Programming physics (the fixed top layer and its pulses) is modeled as
-    a free state write; the event count feeds the energy model's
-    programming-overhead hook.
-    """
-    new = encode_weight(target_weight)
-    if old is None:
-        return new, 0
-    events = sum(1 for a, b in zip(old.signs, new.signs) if a != b)
-    return new, events
 
 
 @dataclass(frozen=True)

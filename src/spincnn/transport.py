@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.linalg import solve_banded
@@ -40,6 +41,11 @@ class ChannelParams:
             raise ValueError("beta must be in (0, 1]")
         if not 0 <= self.ground_spin_sink < 1:
             raise ValueError("ground_spin_sink must be in [0, 1)")
+
+    @cached_property
+    def delivery(self) -> float:
+        """Delivered spin-current fraction (1 - g) / cosh(L / l_sf)."""
+        return (1.0 - self.ground_spin_sink) * spin_transmission(self.L, self.l_sf)
 
 
 @dataclass(frozen=True)
@@ -126,5 +132,4 @@ def net_spin_current(contributions, i0: float, channel: ChannelParams) -> float:
     if i0 <= 0:
         raise ValueError("i0 must be > 0")
     total_weight = sum(c.weight * c.input_level for c in contributions)
-    factor = (1.0 - channel.ground_spin_sink) * spin_transmission(channel.L, channel.l_sf)
-    return i0 * total_weight * factor
+    return i0 * total_weight * channel.delivery

@@ -347,7 +347,7 @@ def test_criterion_07_synapse_codec():
 @pytest.fixture(scope="module")
 def nf_sweep():
     zero = load_glyph("zero")
-    s = Scenario("noise-filter", zero, noise_filter_templates(), 0.1, zero)
+    s = Scenario("noise-filter", zero, noise_filter_templates(), 0.1)
     recs = sweep_voltage(s, SWEEP_VOLTAGES, [1], SWEEP_SEEDS, SWEEP_CFG,
                          CellModel(), DriveModel(), EnergyParams(), jobs=JOBS)
     return s, recs
@@ -358,8 +358,7 @@ def assoc_sweep():
     one, two = load_glyph("one"), load_glyph("two")
     three, four = load_glyph("three"), load_glyph("four")
     templates = hebbian_train([(one, two), (three, four)])
-    s = Scenario("assoc", one, templates, 4 / 600, two, programmable=True,
-                 associative=True)
+    s = Scenario("assoc", one, templates, 4 / 600)
     recs = sweep_voltage(s, SWEEP_VOLTAGES, [1], SWEEP_SEEDS, SWEEP_CFG,
                          CellModel(), DriveModel(), EnergyParams(), jobs=JOBS)
     return s, recs

@@ -10,7 +10,7 @@ from spincnn.analysis import (CSV_HEADER, EnergyBreakdown, EnergyParams,
                               aggregate, cmos_sweep, compare,
                               pareto, records_to_csv, spin_area, spin_energy,
                               sweep_voltage)
-from spincnn.cmos import AmplifierModel
+from spincnn.cmos import FEATURE_SIZE, MIN_WIDTH_F, AmplifierModel
 from spincnn.core import Pattern, SimConfig
 from spincnn.network import (CellModel, Trajectory, hebbian_train,
                              noise_filter_templates)
@@ -100,8 +100,8 @@ class TestSpinArea:
     def test_driver_term_isolated_by_size(self):
         a1 = spin_area(600, NF_HW, 1, EP)
         a2 = spin_area(600, NF_HW, 2, EP)
-        w_min = EP.min_width_f * EP.feature_size
-        driver_term = 600 * NF_HW.gross_units * w_min * 8 * EP.feature_size
+        w_min = MIN_WIDTH_F * FEATURE_SIZE
+        driver_term = 600 * NF_HW.gross_units * w_min * 8 * FEATURE_SIZE
         assert a2 - a1 == pytest.approx(driver_term, rel=1e-12)
 
     def test_monotone_in_size(self):
@@ -183,20 +183,17 @@ class TestCompare:
 
 class TestScenario:
     def test_cell_count(self):
-        s = Scenario("nf", load_glyph("zero"), noise_filter_templates(),
-                     0.1, load_glyph("zero"))
+        s = Scenario("nf", load_glyph("zero"), noise_filter_templates(), 0.1)
         assert s.n_cells == 600
         assert s.hardware.n_synapses == 5
 
     def test_programmable_hardware_selected(self):
         t = hebbian_train([(load_glyph("one"), load_glyph("two"))])
-        s = Scenario("assoc", load_glyph("one"), t, 0.0, load_glyph("two"),
-                     programmable=True, associative=True)
+        s = Scenario("assoc", load_glyph("one"), t, 0.0)
         assert s.hardware.n_synapses == 18
 
     def test_cmos_sweep_shapes(self):
-        s = Scenario("nf", load_glyph("zero"), noise_filter_templates(),
-                     0.1, load_glyph("zero"))
+        s = Scenario("nf", load_glyph("zero"), noise_filter_templates(), 0.1)
         recs = cmos_sweep(s, [1, 10], AmplifierModel())
         assert len(recs) == 2
         assert recs[1]["delay"] == pytest.approx(10e-9)
@@ -206,8 +203,7 @@ class TestScenario:
 def test_sweep_records_do_not_depend_on_jobs():
     # 12 points: one ensemble, or chunks of 6 or 4 in worker processes;
     # 0.05 V never settles, five points settle at different times
-    s = Scenario("nf", load_glyph("zero"), noise_filter_templates(), 0.1,
-                 load_glyph("zero"))
+    s = Scenario("nf", load_glyph("zero"), noise_filter_templates(), 0.1)
     cfg = SimConfig(dt=2e-12, t_max=4e-9, hold_time=0.2e-9)
     runs = [sweep_voltage(s, [1.0, 0.05, 0.52], [1, 4], [0, 1], cfg, MODEL,
                           DriveModel(), EP, jobs=jobs) for jobs in (1, 2, 3)]

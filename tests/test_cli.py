@@ -10,10 +10,11 @@ import pytest
 
 import spincnn
 from spincnn import load_glyph
-from spincnn.cli import main
-from spincnn.core import (MagnetParams, SimConfig, add_noise,
+from spincnn.cli import _trajectory_csv, main
+from spincnn.core import (MagnetParams, Pattern, SimConfig, add_noise,
                           load_pattern_file, save_pattern)
 from spincnn.dynamics import analytic_critical_current, switch_times
+from spincnn.network import Trajectory
 
 FAST_CONFIG = """\
 [sim]
@@ -95,6 +96,17 @@ class TestSimulate:
         main(args + ["--out", str(tmp_path / "b")])
         assert (tmp_path / "a" / "trajectory.csv").read_bytes() == \
             (tmp_path / "b" / "trajectory.csv").read_bytes()
+
+    def test_trajectory_csv_reads_logic_at_the_model_boundary(self):
+        # m_z = 0.1 lies between 0 and the boundary b = 0.26 of
+        # [inverter] v_th = 0.395: the circuit reads it as -1
+        initial = Pattern(1, 2, (-1, 1))
+        traj = Trajectory(np.array([1e-9]), np.array([[[0.1, 0.9]]]), None,
+                          initial, initial, 0, 0)
+        row = _trajectory_csv(traj, 0.26).splitlines()[1]
+        assert row == "1,0.5,0.1,1,0"
+        # at b = 0, the default stack's boundary, it reads +1
+        assert _trajectory_csv(traj, 0.0).splitlines()[1] == "1,0.5,0.1,2,1"
 
     def test_config_env_fallback(self, tmp_path, monkeypatch, capsys):
         bad = tmp_path / "bad.cfg"
@@ -254,6 +266,20 @@ class TestSweep:
         out = tmp_path / "sw"
         assert main(["sweep", "--config", fast_config, "--voltages",
                      "0.05,0.27,1.0", "--sizes", "1,2,4", "--seeds", "0",
+                     "--out", str(out)]) == 0
+        for name in ("sweep.csv", "pareto.csv", "comparison.txt"):
+            with open(os.path.join(ref, name), "rb") as fh:
+                assert (out / name).read_bytes() == fh.read(), name
+
+    def test_assoc_plane_matches_reference_outputs(self, tmp_path,
+                                                  fast_config, capsys):
+        # the programmable-synapse scenario, recall from the noisy cue;
+        # reference files written by the sweep whose Scenario still
+        # carried programmable and associative flags
+        ref = os.path.join(os.path.dirname(__file__), "data", "sweep_assoc")
+        out = tmp_path / "sw"
+        assert main(["sweep", "--config", fast_config, "--app", "assoc",
+                     "--voltages", "0.05,0.27,1.0", "--seeds", "0",
                      "--out", str(out)]) == 0
         for name in ("sweep.csv", "pareto.csv", "comparison.txt"):
             with open(os.path.join(ref, name), "rb") as fh:

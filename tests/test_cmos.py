@@ -4,9 +4,10 @@ power/delay model, and the transistor-width area rule."""
 import numpy as np
 import pytest
 
-from spincnn.cmos import (AmplifierModel, ChuaParams, _grid_derivative,
-                          cmos_area, cmos_energy, cmos_noise_filter_templates,
-                          cmos_power_delay, f_output, integrate)
+from spincnn.cmos import (FEATURE_SIZE, MIN_WIDTH_F, AmplifierModel,
+                          ChuaParams, _grid_derivative, cmos_area, cmos_energy,
+                          cmos_noise_filter_templates, cmos_power_delay,
+                          f_output, integrate)
 from spincnn.core import (BOUNDARY_MINUS_ONE, TemplateSet, add_noise,
                           template_operator)
 from spincnn import load_glyph
@@ -202,8 +203,8 @@ class TestArea:
     A = AmplifierModel()
 
     def test_neuron_only(self):
-        w_min = self.A.min_width_f * self.A.feature_size
-        expected = sum(self.A.amp_widths) * w_min * 8 * self.A.feature_size
+        w_min = MIN_WIDTH_F * FEATURE_SIZE
+        expected = sum(self.A.amp_widths) * w_min * 8 * FEATURE_SIZE
         assert cmos_area(0, 1, self.A) == pytest.approx(expected, rel=1e-12)
 
     def test_synapse_term_linear(self):
@@ -214,9 +215,9 @@ class TestArea:
 
     def test_resolution_tail_widths(self):
         # 3-bit tail (1+2+4) vs 1-bit tail (1): difference of 6 width units
-        w_min = self.A.min_width_f * self.A.feature_size
+        w_min = MIN_WIDTH_F * FEATURE_SIZE
         d = cmos_area(1, 3, self.A) - cmos_area(1, 1, self.A)
-        assert d == pytest.approx(6 * w_min * 8 * self.A.feature_size, rel=1e-12)
+        assert d == pytest.approx(6 * w_min * 8 * FEATURE_SIZE, rel=1e-12)
 
     def test_cells_linear(self):
         assert cmos_area(5, 3, self.A, n_cells=600) == pytest.approx(

@@ -13,12 +13,12 @@ from spincnn.network import (BOUNDARY_MINUS_ONE, BOUNDARY_ZERO_FLUX,
                              CellModel, CnnGrid, GridStepper, hebbian_train,
                              load_templates, net_currents,
                              noise_filter_templates, quantize_templates, run,
-                             run_associative, run_many, save_templates)
+                             run_many, save_templates)
 from spincnn.readpath import InverterModel
 
 IC = analytic_critical_current(MagnetParams())
 MODEL = CellModel(i0=10 * IC)
-DELIVERY = MODEL.delivery_factor
+DELIVERY = MODEL.channel.delivery
 
 
 def solid(rows, cols, value=1):
@@ -42,15 +42,21 @@ class TestTemplates:
         assert np.array_equal(quantize_templates(np.asarray(t.A)), t.A)
 
 
+def stepper_currents(grid, model=MODEL):
+    """Net spin currents of a one-member `GridStepper` at the grid's state."""
+    s = GridStepper([(grid, SimConfig(), model)])
+    return s.currents(s.outputs())[0]
+
+
 class TestNetCurrents:
     def test_uniform_up_interior_cell(self):
         g = grid_of(solid(5, 5))
-        Is = net_currents(g, MODEL)
+        Is = stepper_currents(g)
         assert Is[2, 2] == pytest.approx(5 * MODEL.i0 * DELIVERY, rel=1e-12)
 
     def test_uniform_up_edges_with_white_surround(self):
         g = grid_of(solid(5, 5))
-        Is = net_currents(g, MODEL)
+        Is = stepper_currents(g)
         # edge: 3 real +1 neighbors, 1 virtual -1, self +1
         assert Is[0, 2] == pytest.approx(3 * MODEL.i0 * DELIVERY, rel=1e-12)
         # corner: 2 real, 2 virtual
@@ -59,14 +65,14 @@ class TestNetCurrents:
     def test_zero_flux_boundary_restores_symmetry(self):
         from dataclasses import replace
         model = replace(MODEL, boundary=BOUNDARY_ZERO_FLUX)
-        Is = net_currents(grid_of(solid(5, 5)), model)
+        Is = stepper_currents(grid_of(solid(5, 5)), model)
         assert np.allclose(Is, 5 * MODEL.i0 * DELIVERY)
 
     def test_minority_pixel_currents(self):
         arr = np.ones((5, 5), dtype=int)
         arr[2, 2] = -1
         g = grid_of(Pattern.from_array(arr))
-        Is = net_currents(g, MODEL)
+        Is = stepper_currents(g)
         # minority cell: 4 neighbors +1, self -1 => +3 units toward +z
         assert Is[2, 2] == pytest.approx(3 * MODEL.i0 * DELIVERY, rel=1e-12)
         # its neighbor: 3 agreeing neighbors + self - minority = +3 units
@@ -212,14 +218,13 @@ class TestHebbianTraining:
         three, four = load_glyph("three"), load_glyph("four")
         t = hebbian_train([(one, two), (three, four)])
         cfg = SimConfig(seed=0, t_max=15e-9)
-        traj = run_associative(one, t, cfg, MODEL)
+        traj = run(CnnGrid.recall(one, t), cfg, MODEL)
         assert traj.converged
         assert traj.final_pattern == two
 
     def test_space_invariant_templates_rejected_for_recall(self):
         with pytest.raises(ValueError, match="space-varying"):
-            run_associative(load_glyph("one"), noise_filter_templates(),
-                            SimConfig(), MODEL)
+            CnnGrid.recall(load_glyph("one"), noise_filter_templates())
 
 
 class TestTemplateFiles:
@@ -267,7 +272,8 @@ def test_logic_pattern_reads_poles():
 def reference_run(grid, cfg, model):
     """`run` written out from the public single-path pieces: heun_step on
     the (rows, cols, 3) layout, one make_rng(seed, STREAM_LLG, n) draw per
-    step and net_currents recomputed after every step."""
+    step and the drive recomputed after every step by `reference_drive`,
+    the slice loop that shares no code with `core.template_operator`."""
     p, m = model.magnet, grid.m.copy()
     sigma = thermal_sigma(p, cfg.temperature, cfg.dt)
     sample_every = max(int(round(cfg.sample_interval / cfg.dt)), 1)
@@ -276,8 +282,10 @@ def reference_run(grid, cfg, model):
 
     def state():
         g = CnnGrid(m, grid.u, grid.templates)
-        Is = net_currents(g, model)
         mz = m[:, :, 2]
+        y = np.where(mz > model.logic_boundary_mz, 1.0, -1.0)
+        Is = model.i0 * reference_drive(
+            y, grid.u, grid.templates, model.boundary) * model.channel.delivery
         ok = np.all(np.abs(mz) >= cfg.mz_threshold) and \
             np.all(Is * np.sign(mz) >= 0.0)
         return Is, ok, g.logic_pattern(model)
@@ -499,7 +507,7 @@ def test_operator_drive_equals_slice_loop(shape, boundary, app):
         grid = CnnGrid(m, u.to_array().astype(float), templates)
         y = np.where(m[:, :, 2] > model.logic_boundary_mz, 1.0, -1.0)
         expected = model.i0 * reference_drive(y, grid.u, templates, boundary) \
-            * model.delivery_factor
+            * model.channel.delivery
         assert np.array_equal(net_currents(grid, model), expected)
         assert np.array_equal(stepper.currents(y[None])[0], expected)
 

@@ -1,6 +1,8 @@
 """MTJ divider plus inverter read path: resistance model, transfer curves,
 logic robustness and the non-disturbing-read bound."""
 
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -109,7 +111,7 @@ class TestReadCell:
         assert i_read < analytic_critical_current(MagnetParams()) / 0.5
 
     def test_explicit_read_thickness_override(self):
-        analog_thick = read_cell(MTJ, INV, 0.5, t_ox_read=2.1e-9)[0]
+        analog_thick = read_cell(replace(MTJ, t_ox_read=2.1e-9), INV, 0.5)[0]
         analog_ref = read_cell(MTJ, INV, 0.5)[0]
         assert analog_thick != analog_ref
 

@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 
 from spincnn.synapse import (BRANCH_SIZES, DriveModel, SynapseConfig,
                              decode_config, drive_current, encode_weight,
-                             program_synapse, quantize_weight,
-                             representable_weights, unit_current)
+                             quantize_weight, representable_weights,
+                             unit_current)
 
 
 class TestRepresentableWeights:
@@ -94,23 +94,6 @@ class TestQuantizer:
     def test_array_with_non_finite_rejected(self):
         with pytest.raises(ValueError):
             quantize_weight(np.array([1.0, math.inf]))
-
-
-class TestProgramming:
-    def test_reprogram_same_weight_no_events(self):
-        cfg, _ = program_synapse(4)
-        _, events = program_synapse(4, old=cfg)
-        assert events == 0
-
-    def test_full_negation_four_events(self):
-        cfg, _ = program_synapse(-8)
-        _, events = program_synapse(8, old=cfg)
-        assert events == 4
-
-    def test_eight_to_zero_three_events(self):
-        cfg, _ = program_synapse(8)
-        _, events = program_synapse(0, old=cfg)
-        assert events == 3
 
 
 class TestDriveModel:

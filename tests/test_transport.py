@@ -109,6 +109,12 @@ class TestNetSpinCurrent:
         contributions = [SynapseContribution(1.0, 0)] * 5
         assert net_spin_current(contributions, 1e-6, CH) == 0.0
 
+    def test_delivery_is_the_one_channel_factor(self):
+        ch = ChannelParams(ground_spin_sink=0.25)
+        assert ch.delivery == 0.75 * spin_transmission(ch.L, ch.l_sf)
+        assert net_spin_current([SynapseContribution(2.0, -1)], 1e-6, ch) \
+            == 1e-6 * -2.0 * ch.delivery
+
     def test_ground_sink_fraction(self):
         ch = ChannelParams(ground_spin_sink=0.25)
         a = net_spin_current([SynapseContribution(1.0, 1)], 1e-6, ch)

@@ -37,17 +37,20 @@ CSV_HEADER = ("v_drive_V,size_mult,seed,converged,delay_ns,"
 # gross width units of one programmable 4-magnet synapse, in units of the
 # unit-weight (level 4) driver: (4+2+1+1)/4
 PROGRAMMABLE_GROSS_UNITS = sum(BRANCH_SIZES) / LEVELS_PER_UNIT_WEIGHT
+TEMPLATE_TAPS = 9      # synapses of a full 3x3 A, and of B, per cell
+PROGRAMMABLE_BITS = 3  # resolution of a programmable synapse
+INVERTER_WIDTH = 4.0   # read inverter per cell [unit widths]
+MTJ_FOOTPRINT = 900e-18     # [m^2] each, two per cell
+MAGNET_FOOTPRINT = 900e-18  # [m^2], 30 nm x 30 nm
+DELAY_WINDOW = 2.0  # largest delay ratio of a CMOS and a spintronic pair
 
 
 @dataclass(frozen=True)
 class EnergyParams:
-    """Calibration knobs of the spintronic energy/area model."""
+    """Calibration knobs of the spintronic energy model."""
 
     c_gate_unit: float = 4e-15      # gate capacitance per unit driver width [F]
     inverter_leakage: float = 8e-6  # static read-path current per cell [A]
-    inverter_width_units: float = 4.0
-    mtj_footprint: float = 900e-18  # [m^2] each, two per cell
-    magnet_footprint: float = 900e-18  # 30 nm x 30 nm
 
 
 @dataclass(frozen=True)
@@ -101,10 +104,10 @@ class ScenarioHardware:
         return cls(nz_a + nz_b, gross, nz_a, 1, 1)
 
     @classmethod
-    def programmable(cls, n_feedback: int = 9, n_feedforward: int = 9,
-                     bits: int = 3) -> "ScenarioHardware":
-        n = n_feedback + n_feedforward
-        return cls(n, n * PROGRAMMABLE_GROSS_UNITS, n_feedback, 4, bits)
+    def programmable(cls) -> "ScenarioHardware":
+        n = TEMPLATE_TAPS + TEMPLATE_TAPS
+        return cls(n, n * PROGRAMMABLE_GROSS_UNITS, TEMPLATE_TAPS,
+                   len(BRANCH_SIZES), PROGRAMMABLE_BITS)
 
 
 @dataclass(frozen=True)
@@ -137,7 +140,7 @@ def spin_energy(traj: Trajectory, drive: DriveModel, model: CellModel,
     if t == 0.0:
         return EnergyBreakdown(0.0, 0.0, 0.0)
     joule = hw.gross_units * n_cells * drive.V_drive \
-        * drive_current(drive, True) * t
+        * drive_current(drive) * t
     r_stack = (mtj_resistance(model.mtj, model.mtj.t_ox_ref, 1.0)
                + mtj_resistance(model.mtj, model.mtj.t_ox_read, 1.0))
     p_read = model.mtj.V_read ** 2 / r_stack
@@ -150,17 +153,17 @@ def spin_energy(traj: Trajectory, drive: DriveModel, model: CellModel,
     return EnergyBreakdown(joule, leakage, dynamic)
 
 
-def spin_area(n_cells: int, hw: ScenarioHardware, size_multiplier: int,
-              ep: EnergyParams) -> float:
+def spin_area(n_cells: int, hw: ScenarioHardware,
+              size_multiplier: int) -> float:
     """Cell area: drivers + inverter (width x 8F) + MTJ and magnet footprints."""
     if n_cells <= 0 or size_multiplier < 1:
         raise ValueError("positive cell count and size required")
     w_min = cmos_mod.MIN_WIDTH_F * cmos_mod.FEATURE_SIZE
     driver_w = hw.gross_units * size_multiplier * w_min
-    inverter_w = ep.inverter_width_units * w_min
+    inverter_w = INVERTER_WIDTH * w_min
     transistor_area = (driver_w + inverter_w) * 8.0 * cmos_mod.FEATURE_SIZE
     magnets = 1 + hw.n_synapses * hw.magnets_per_synapse
-    passive_area = 2 * ep.mtj_footprint + magnets * ep.magnet_footprint
+    passive_area = 2 * MTJ_FOOTPRINT + magnets * MAGNET_FOOTPRINT
     return n_cells * (transistor_area + passive_area)
 
 
@@ -185,7 +188,7 @@ def _sweep_chunk(chunk) -> list[SweepRecord]:
         ok = traj.converged
         delay = traj.convergence_time if ok else cfg.t_max
         energy = spin_energy(traj, d, model, ep, s.hardware, cfg.t_max)
-        area = spin_area(s.n_cells, s.hardware, size, ep)
+        area = spin_area(s.n_cells, s.hardware, size)
         records.append(SweepRecord(v, size, seed, ok, delay, energy, area))
     return records
 
@@ -267,8 +270,8 @@ def pareto(records: list[SweepRecord]):
     return frontier
 
 
-def compare(spin_frontier, cmos_records, delay_window: float = 2.0) -> dict:
-    """Energy/area ratios at matched delay (nearest pairing within window).
+def compare(spin_frontier, cmos_records) -> dict:
+    """Energy/area ratios at matched delay (nearest within DELAY_WINDOW).
 
     cmos_records: list of dicts with delay / energy / area keys, produced
     by `cmos_sweep`. The CMOS side is calibrated to published claims, not
@@ -280,8 +283,8 @@ def compare(spin_frontier, cmos_records, delay_window: float = 2.0) -> dict:
     pairs = [(c, max(c["delay"], spin_best["delay"])
               / min(c["delay"], spin_best["delay"])) for c in cmos_records]
     cmos_pt, ratio = min(pairs, key=lambda p: p[1])
-    if ratio > delay_window:
-        raise ValueError(f"no CMOS record within {delay_window}x of the "
+    if ratio > DELAY_WINDOW:
+        raise ValueError(f"no CMOS record within {DELAY_WINDOW}x of the "
                          f"spintronic delay {spin_best['delay']:.3e} s")
     return {
         "spin_energy_J": spin_best["energy"],
@@ -306,7 +309,7 @@ def cmos_sweep(s: Scenario, scales, amp: cmos_mod.AmplifierModel):
         energy, delay = cmos_mod.cmos_energy(amp, scale, s.n_cells,
                                              int(hw.n_synapses), syn_factor)
         area = cmos_mod.cmos_area(int(hw.n_synapses), hw.resolution_bits,
-                                  amp, s.n_cells)
+                                  s.n_cells)
         out.append({"scale": scale, "delay": delay, "energy": energy,
                     "area": area})
     return out

@@ -35,12 +35,12 @@ from dataclasses import replace
 import numpy as np
 
 from . import GLYPHS, load_glyph
-from .analysis import (Scenario, cmos_sweep, compare, pareto, records_to_csv,
-                       sweep_parts)
+from .analysis import (DELAY_WINDOW, Scenario, cmos_sweep, compare, pareto,
+                       records_to_csv, sweep_parts)
 from .config import ConfigError, FullConfig, parse_config
 from .core import Pattern, frame_to_pgm, load_pattern_file, save_pattern
-from .dynamics import (analytic_critical_current, critical_spin_current,
-                       switch_times)
+from .dynamics import (T0_TILT_DEG, analytic_critical_current,
+                       critical_spin_current, switch_times)
 from .network import (CnnGrid, hebbian_train, load_templates,
                       noise_filter_templates, run, save_templates)
 from .readpath import divider_voltage, read_cell
@@ -129,13 +129,12 @@ def _write(out_dir: str, name: str, text: str, manifest: _Manifest) -> str:
     return path
 
 
-def _trajectory_csv(traj, boundary: float) -> str:
-    """Per-sample summary: saturation and distance from the initial pattern;
-    a cell reads +1 above the model's logic boundary m_z = `boundary`."""
+def _trajectory_csv(traj, model) -> str:
+    """Per-sample summary: saturation and distance from the initial pattern."""
     init = traj.initial_pattern.to_array()
     lines = ["time_ns,mean_mz,min_abs_mz,n_black,hamming_to_initial"]
     for t, frame in zip(traj.times, traj.mz):
-        logic = np.where(frame > boundary, 1, -1)
+        logic = model.logic(frame)
         lines.append(",".join([
             f"{t * 1e9:.6g}",
             f"{float(np.mean(frame)):.6g}",
@@ -181,7 +180,7 @@ def cmd_simulate(args, argv: list[str]) -> int:
     os.makedirs(args.out, exist_ok=True)
     manifest = _Manifest(argv, digest, cfg.seed)
     _write(args.out, "trajectory.csv",
-           _trajectory_csv(traj, model.logic_boundary_mz), manifest)
+           _trajectory_csv(traj, model), manifest)
     stride = max(1, math.ceil(len(traj.mz) / MAX_FRAME_IMAGES))
     indices = list(range(0, len(traj.mz), stride))
     if indices[-1] != len(traj.mz) - 1:
@@ -266,7 +265,8 @@ def _comparison_report(report: dict, scenario: Scenario) -> str:
         f"Scenario: {scenario.name}",
         "",
         "Spintronic minimum-energy point versus the CMOS analog baseline at",
-        "matched delay (nearest pairing within 2x). The CMOS numbers come",
+        f"matched delay (nearest pairing within {DELAY_WINDOW:g}x). "
+        "The CMOS numbers come",
         "from a calibrated scaling model, not from independent circuit",
         "simulation.",
         "",
@@ -376,8 +376,7 @@ def _oracle_read_curve(full: FullConfig) -> int:
 def _oracle_switch_stats(full: FullConfig) -> int:
     p = full.magnet
     i0 = _demo_i0(full)
-    # the exact pole is a fixed point, so the T = 0 reference starts tilted
-    [t0] = switch_times(p, -i0, 0.0, [0], full.sim, tilt_deg=1.0)
+    [t0] = switch_times(p, -i0, 0.0, [0], full.sim, tilt_deg=T0_TILT_DEG)
     if t0 is None:
         print(f"drive {-i0:.3e} A does not switch at T = 0")
         return EXIT_ERROR

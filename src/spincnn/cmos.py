@@ -36,6 +36,10 @@ from .core import BOUNDARY_MINUS_ONE, TemplateSet, settle, template_operator
 # the process geometry of both sides: feature size F [m], unit width [F]
 FEATURE_SIZE = 16e-9
 MIN_WIDTH_F = 4.0
+# transistor widths [unit widths]
+OP_AMP_WIDTH = 7 * 2       # the op amp of a neuron: 7 transistors of 2
+OTA_BASE_WIDTH = 6.0       # fixed OTA transistors per synapse stage
+SIGN_OVERHEAD_WIDTH = 8.0  # inverter + mux + memory per synapse
 
 
 @dataclass(frozen=True)
@@ -61,13 +65,8 @@ class AmplifierModel:
     delay_0: float = 100e-9       # convergence delay at unit scale [s]
     delay_floor: float = 10e-9    # bandwidth/DC-gain limit [s]
     p_leak: float = 0.0           # scale-independent static power per cell [W]
-    amp_widths: tuple[float, ...] = (2, 2, 2, 2, 2, 2, 2)  # 7-transistor op amp
-    ota_base_width: float = 6.0   # fixed OTA transistors per synapse stage
-    sign_overhead_width: float = 8.0  # inverter + mux + memory per synapse
 
     def __post_init__(self):
-        if len(self.amp_widths) != 7:
-            raise ValueError("amplifier model uses 7 transistors")
         if self.delay_floor <= 0 or self.delay_0 <= 0:
             raise ValueError("delays must be > 0")
 
@@ -164,7 +163,7 @@ def cmos_energy(a: AmplifierModel, scale: float, n_cells: int, n_syn: int,
     return power * delay, delay
 
 
-def cmos_area(synapse_count: int, resolution_bits: int, a: AmplifierModel,
+def cmos_area(synapse_count: int, resolution_bits: int,
               n_cells: int = 1) -> float:
     """Footprint from summed transistor widths times 8F.
 
@@ -175,8 +174,7 @@ def cmos_area(synapse_count: int, resolution_bits: int, a: AmplifierModel,
     if synapse_count < 0 or resolution_bits < 1 or n_cells <= 0:
         raise ValueError("counts must be positive")
     w_min = MIN_WIDTH_F * FEATURE_SIZE
-    neuron_w = sum(a.amp_widths)
     tail_w = sum(2 ** b for b in range(resolution_bits))
-    syn_w = a.ota_base_width + tail_w + a.sign_overhead_width
-    total_width = n_cells * (neuron_w + synapse_count * syn_w) * w_min
+    syn_w = OTA_BASE_WIDTH + tail_w + SIGN_OVERHEAD_WIDTH
+    total_width = n_cells * (OP_AMP_WIDTH + synapse_count * syn_w) * w_min
     return total_width * 8.0 * FEATURE_SIZE

@@ -102,7 +102,6 @@ _SCHEMA = {
     },
     "channel": {
         "length": ("L", _float), "l_sf": ("l_sf", _float),
-        "sigma": ("sigma", _float), "cross_section": ("cross_section", _float),
         "beta": ("beta", _float), "ground_spin_sink": ("ground_spin_sink", _float),
     },
     "mtj": {

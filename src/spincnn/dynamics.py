@@ -27,7 +27,9 @@ view of its buffers once, so a step is a fixed run of ufunc calls with no
 slicing. Every element goes through the same floating-point operations in
 the same order as in `heun_step`, so both give the same bits. The third
 is the scalar float loop of `_deterministic_switches`, one noiseless
-magnet, unrolled for the critical-current bisection.
+magnet, unrolled for the critical-current bisection. It stays: one magnet
+is all NumPy dispatch, 67 us per step in a one-magnet `GridHeun` against
+2.2 us here (medians of 25 runs of 2,000 steps; Python 3.11, NumPy 2.4).
 """
 
 from __future__ import annotations
@@ -41,6 +43,8 @@ from .core import MagnetParams, SimConfig, make_rng, STREAM_SWITCH
 
 MAX_DT = 10e-12  # step-size stability guard [s]
 SWITCH_BLOCK = 256  # thermal samples drawn per switch_times member at a time
+T0_TILT_DEG = 1.0  # start of the T = 0 probes off +z, a fixed point [deg]
+CRITICAL_REL_TOL = 0.01  # bracket width of the critical-current bisection
 
 
 def thermal_sigma(p: MagnetParams, T: float, dt: float) -> float:
@@ -220,7 +224,7 @@ def analytic_critical_current(p: MagnetParams) -> float:
 
 
 def _deterministic_switches(p: MagnetParams, Is: float, horizon: float,
-                            dt: float, tilt_deg: float = 1.0) -> bool:
+                            dt: float) -> bool:
     """T = 0 probe: does |Is| (anti-parallel) drive m_z below -0.5 in time?
 
     Scalar float math; bails out early once the tilt has visibly decayed,
@@ -232,7 +236,7 @@ def _deterministic_switches(p: MagnetParams, Is: float, horizon: float,
     gm = GAMMA * MU0
     inv = 1.0 / (1.0 + alpha * alpha)
     a2 = alpha * alpha
-    theta0 = math.radians(tilt_deg)
+    theta0 = math.radians(T0_TILT_DEG)
     mx, my, mz = math.sin(theta0), 0.0, math.cos(theta0)
     decay_floor = math.sin(theta0) * 0.3
     n_steps = int(round(horizon / dt))
@@ -271,12 +275,12 @@ def _deterministic_switches(p: MagnetParams, Is: float, horizon: float,
 
 
 def critical_spin_current(p: MagnetParams, horizon: float = 50e-9,
-                          dt: float = 1e-12, rel_tol: float = 0.01) -> float:
+                          dt: float = 1e-12) -> float:
     """Zero-temperature bisection for the minimal switching current [A].
 
-    Starts from a 1 degree tilt off +z and looks for the smallest
-    anti-parallel current magnitude that takes m_z below -0.5 within the
-    horizon; the bracket is resolved to rel_tol.
+    Starts T0_TILT_DEG off +z and looks for the smallest anti-parallel
+    current magnitude that takes m_z below -0.5 within the horizon; the
+    bracket is resolved to CRITICAL_REL_TOL.
     """
     estimate = analytic_critical_current(p)
     lo, hi = 0.0, estimate
@@ -286,7 +290,7 @@ def critical_spin_current(p: MagnetParams, horizon: float = 50e-9,
             raise RuntimeError("critical-current bracket failure: "
                                f"{hi:.3e} A does not switch within {horizon} s")
         lo = hi / 2.0
-    while hi - lo > rel_tol * hi:
+    while hi - lo > CRITICAL_REL_TOL * hi:
         mid = 0.5 * (lo + hi)
         if _deterministic_switches(p, mid, horizon, dt):
             hi = mid
@@ -295,8 +299,7 @@ def critical_spin_current(p: MagnetParams, horizon: float = 50e-9,
     return hi
 
 
-def switch_times(p: MagnetParams, Is: float, T: float, seeds,
-                 cfg: SimConfig | None = None,
+def switch_times(p: MagnetParams, Is: float, T: float, seeds, cfg: SimConfig,
                  tilt_deg: float = 0.0) -> list[float | None]:
     """First-passage times of m_z through -mz_threshold [s], one per seed.
 
@@ -310,7 +313,6 @@ def switch_times(p: MagnetParams, Is: float, T: float, seeds,
     in place; a generator yields one stream of normals, so one call for 3 k
     values gives the bits of k calls for 3, in order.
     """
-    cfg = cfg or SimConfig()
     if Is >= 0:
         raise ValueError("Is must oppose the initial +z orientation")
     if cfg.dt > MAX_DT:

@@ -61,6 +61,10 @@ class CellModel:
         b = logic_mz_boundary(self.mtj, self.inverter)
         return 0.0 if abs(b) < 1e-12 else b
 
+    def logic(self, mz: np.ndarray) -> np.ndarray:
+        """Logic outputs of m_z: +1.0 above the logic boundary, else -1.0."""
+        return np.where(mz > self.logic_boundary_mz, 1.0, -1.0)
+
 
 @dataclass
 class CnnGrid:
@@ -91,8 +95,7 @@ class CnnGrid:
         return cls.from_pattern(cue, cue, templates)
 
     def logic_pattern(self, model: CellModel) -> Pattern:
-        logic = np.where(self.m[:, :, 2] > model.logic_boundary_mz, 1, -1)
-        return Pattern.from_array(logic)
+        return Pattern.from_array(model.logic(self.m[:, :, 2]))
 
 
 @dataclass
@@ -118,7 +121,7 @@ class Trajectory:
 
 def net_currents(grid: CnnGrid, model: CellModel) -> np.ndarray:
     """Net perpendicular spin current per neuron [A] at the current state."""
-    y = np.where(grid.m[:, :, 2] > model.logic_boundary_mz, 1.0, -1.0)
+    y = model.logic(grid.m[:, :, 2])
     W, c = template_operator(grid.templates, grid.u, model.boundary)
     return model.i0 * (W @ y.reshape(-1) + c).reshape(y.shape) \
         * model.channel.delivery
@@ -199,7 +202,7 @@ class GridStepper:
                                         rng.bit_generator.state))
         self.trajectories: list[Trajectory | None] = [None] * len(members)
         self._bind()
-        self.y = self.outputs()
+        self.y = self.model.logic(self.mz)
         self._drive()
 
     def _bind(self) -> None:
@@ -214,10 +217,6 @@ class GridStepper:
                       for m, out in zip(run, self.heun.noise)]
         self.ymz = np.empty(self.mz.shape)
         self.certified = False
-
-    def outputs(self) -> np.ndarray:
-        """Bipolar logic outputs read from the current magnetizations."""
-        return np.where(self.mz > self.model.logic_boundary_mz, 1.0, -1.0)
 
     def currents(self, y: np.ndarray) -> np.ndarray:
         """Net spin currents [A] for the logic outputs y of the running
@@ -262,7 +261,7 @@ class GridStepper:
         self.certified = all(q > self.abs_b for q in self.q)
         if self.certified:
             return
-        y = self.outputs()
+        y = self.model.logic(self.mz)
         if (y != self.y).any():
             self.y = y
             self._drive()

@@ -21,6 +21,7 @@ import numpy as np
 
 BRANCH_SIZES = (4, 2, 1, 1)
 LEVELS_PER_UNIT_WEIGHT = 4  # level-to-template-unit conversion
+MAX_LEVEL = sum(BRANCH_SIZES)  # the largest representable |level|
 
 
 @dataclass(frozen=True)
@@ -64,7 +65,7 @@ def encode_weight(w: int) -> SynapseConfig:
     raise ValueError(f"weight {w} is not representable")
 
 
-def quantize_weight(w_real, max_level: int = 8):
+def quantize_weight(w_real):
     """Nearest representable level after clamping; ties round away from zero.
 
     Takes a float, giving an int, or an array, giving an int array.
@@ -72,11 +73,11 @@ def quantize_weight(w_real, max_level: int = 8):
     w = np.asarray(w_real, dtype=float)
     if not np.isfinite(w).all():
         raise ValueError("weight must be finite")
-    w = np.clip(w, -max_level, max_level)
+    # not redundant: from |w| ~ 1e17 on, w - 8 and w + 8 round alike
+    w = np.clip(w, -MAX_LEVEL, MAX_LEVEL)
     # ordered by falling |level|, so argmin's first match breaks a tie
     # away from zero
-    levels = np.array(sorted((v for v in representable_weights()
-                              if abs(v) <= max_level), key=abs, reverse=True))
+    levels = np.array(sorted(representable_weights(), key=abs, reverse=True))
     q = levels[np.argmin(np.abs(levels - w[..., None]), axis=-1)]
     return int(q) if q.ndim == 0 else q
 
@@ -118,8 +119,6 @@ def unit_current(d: DriveModel, v: float | None = None) -> float:
     raise AssertionError("unreachable")
 
 
-def drive_current(d: DriveModel, input_on: bool) -> float:
-    """Charge current through a unit-weight synapse magnet [A]; 0 when off."""
-    if not input_on:
-        return 0.0
+def drive_current(d: DriveModel) -> float:
+    """Charge current through a unit-weight synapse magnet [A]."""
     return d.size_multiplier * unit_current(d)

@@ -22,6 +22,10 @@ from scipy.linalg import solve_banded
 
 from .constants import Q
 
+# sigma A / e of the copper channel (sigma = 5.8e7 S/m, A = 6e-17 m^2), from
+# d(mu_s)/dx to spin current; it cancels in the transmission
+SIGMA_A_OVER_Q = 5.8e7 * 6e-17 / Q
+
 
 @dataclass(frozen=True)
 class ChannelParams:
@@ -29,8 +33,6 @@ class ChannelParams:
 
     L: float = 100e-9            # input-to-output spacing [m]
     l_sf: float = 420e-9         # spin relaxation length [m]
-    sigma: float = 5.8e7         # channel conductivity [S/m]
-    cross_section: float = 6e-17  # [m^2]
     beta: float = 0.5            # spin injection coefficient
     ground_spin_sink: float = 0.0  # fraction g of spin diverted to ground
 
@@ -91,16 +93,14 @@ def solve_drift_diffusion(n_points: int, channel: ChannelParams,
     n = n_points
     h = L / (n - 1)
     x = np.linspace(0.0, L, n)
-    # conversion factor between d(mu_s)/dx and spin current
-    k = channel.sigma * channel.cross_section / Q
     # unknowns mu_0 .. mu_{n-2}; mu_{n-1} = 0 (ideal sink)
     ab = np.zeros((3, n - 1))
     rhs = np.zeros(n - 1)
     c = h * h / (l * l)
     # Neumann BC at x = 0 via ghost node: mu_{-1} = mu_1 + 2 h mu'(0),
-    # with k * mu'(0) = -I_inj (current flows toward the sink at +x for
-    # positive injection).
-    dmu0 = -injected_spin_current_A / k
+    # with (sigma A / e) mu'(0) = -I_inj (current flows toward the sink at
+    # +x for positive injection).
+    dmu0 = -injected_spin_current_A / SIGMA_A_OVER_Q
     ab[1, :] = -(2.0 + c)
     ab[0, 1] = 2.0     # ghost-node reflection doubles the first superdiagonal
     ab[0, 2:] = 1.0
@@ -113,7 +113,7 @@ def solve_drift_diffusion(n_points: int, channel: ChannelParams,
     mu = np.append(mu_in, 0.0)
     # spin current from second-order derivatives of mu_s
     dmu = np.gradient(mu, h, edge_order=2)
-    J = -k * dmu
+    J = -SIGMA_A_OVER_Q * dmu
     return x, mu, J
 
 

@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 
 from spincnn import load_glyph
-from spincnn.analysis import (CSV_HEADER, EnergyBreakdown, EnergyParams,
-                              Scenario, ScenarioHardware, SweepRecord,
-                              aggregate, cmos_sweep, compare,
+from spincnn.analysis import (CSV_HEADER, MAGNET_FOOTPRINT, EnergyBreakdown,
+                              EnergyParams, Scenario, ScenarioHardware,
+                              SweepRecord, aggregate, cmos_sweep, compare,
                               pareto, records_to_csv, spin_area, spin_energy,
                               sweep_voltage)
 from spincnn.cmos import FEATURE_SIZE, MIN_WIDTH_F, AmplifierModel
@@ -98,27 +98,27 @@ class TestSpinEnergy:
 
 class TestSpinArea:
     def test_driver_term_isolated_by_size(self):
-        a1 = spin_area(600, NF_HW, 1, EP)
-        a2 = spin_area(600, NF_HW, 2, EP)
+        a1 = spin_area(600, NF_HW, 1)
+        a2 = spin_area(600, NF_HW, 2)
         w_min = MIN_WIDTH_F * FEATURE_SIZE
         driver_term = 600 * NF_HW.gross_units * w_min * 8 * FEATURE_SIZE
         assert a2 - a1 == pytest.approx(driver_term, rel=1e-12)
 
     def test_monotone_in_size(self):
-        areas = [spin_area(600, NF_HW, s, EP) for s in (1, 2, 4, 8)]
+        areas = [spin_area(600, NF_HW, s) for s in (1, 2, 4, 8)]
         assert all(a < b for a, b in zip(areas, areas[1:]))
 
     def test_magnet_term_subdominant(self):
         hw = NF_HW
         magnets = 1 + hw.n_synapses * hw.magnets_per_synapse
-        magnet_area = 600 * magnets * EP.magnet_footprint
-        assert magnet_area < spin_area(600, hw, 1, EP) / 5
+        magnet_area = 600 * magnets * MAGNET_FOOTPRINT
+        assert magnet_area < spin_area(600, hw, 1) / 5
 
     def test_invalid_inputs(self):
         with pytest.raises(ValueError):
-            spin_area(0, NF_HW, 1, EP)
+            spin_area(0, NF_HW, 1)
         with pytest.raises(ValueError):
-            spin_area(600, NF_HW, 0, EP)
+            spin_area(600, NF_HW, 0)
 
 
 def make_record(v, size, seed, converged, delay, total=1e-12, area=1e-11):

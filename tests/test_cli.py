@@ -14,7 +14,8 @@ from spincnn.cli import _trajectory_csv, main
 from spincnn.core import (MagnetParams, Pattern, SimConfig, add_noise,
                           load_pattern_file, save_pattern)
 from spincnn.dynamics import analytic_critical_current, switch_times
-from spincnn.network import Trajectory
+from spincnn.network import CellModel, Trajectory
+from spincnn.readpath import InverterModel
 
 FAST_CONFIG = """\
 [sim]
@@ -103,10 +104,13 @@ class TestSimulate:
         initial = Pattern(1, 2, (-1, 1))
         traj = Trajectory(np.array([1e-9]), np.array([[[0.1, 0.9]]]), None,
                           initial, initial, 0, 0)
-        row = _trajectory_csv(traj, 0.26).splitlines()[1]
+        model = CellModel(inverter=InverterModel(V_th=0.395))
+        assert model.logic_boundary_mz == pytest.approx(0.26, abs=0.005)
+        row = _trajectory_csv(traj, model).splitlines()[1]
         assert row == "1,0.5,0.1,1,0"
         # at b = 0, the default stack's boundary, it reads +1
-        assert _trajectory_csv(traj, 0.0).splitlines()[1] == "1,0.5,0.1,2,1"
+        row = _trajectory_csv(traj, CellModel()).splitlines()[1]
+        assert row == "1,0.5,0.1,2,1"
 
     def test_config_env_fallback(self, tmp_path, monkeypatch, capsys):
         bad = tmp_path / "bad.cfg"

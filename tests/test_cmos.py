@@ -200,34 +200,33 @@ class TestAmplifierModel:
 
 
 class TestArea:
-    A = AmplifierModel()
-
     def test_neuron_only(self):
         w_min = MIN_WIDTH_F * FEATURE_SIZE
-        expected = sum(self.A.amp_widths) * w_min * 8 * FEATURE_SIZE
-        assert cmos_area(0, 1, self.A) == pytest.approx(expected, rel=1e-12)
+        # the op amp: seven transistors of 2 unit widths
+        expected = 7 * 2 * w_min * 8 * FEATURE_SIZE
+        assert cmos_area(0, 1) == pytest.approx(expected, rel=1e-12)
 
     def test_synapse_term_linear(self):
-        a1 = cmos_area(1, 3, self.A)
-        a2 = cmos_area(2, 3, self.A)
-        a0 = cmos_area(0, 3, self.A)
+        a1 = cmos_area(1, 3)
+        a2 = cmos_area(2, 3)
+        a0 = cmos_area(0, 3)
         assert a2 - a1 == pytest.approx(a1 - a0, rel=1e-12)
 
     def test_resolution_tail_widths(self):
         # 3-bit tail (1+2+4) vs 1-bit tail (1): difference of 6 width units
         w_min = MIN_WIDTH_F * FEATURE_SIZE
-        d = cmos_area(1, 3, self.A) - cmos_area(1, 1, self.A)
+        d = cmos_area(1, 3) - cmos_area(1, 1)
         assert d == pytest.approx(6 * w_min * 8 * FEATURE_SIZE, rel=1e-12)
 
     def test_cells_linear(self):
-        assert cmos_area(5, 3, self.A, n_cells=600) == pytest.approx(
-            600 * cmos_area(5, 3, self.A, n_cells=1), rel=1e-12)
+        assert cmos_area(5, 3, n_cells=600) == pytest.approx(
+            600 * cmos_area(5, 3, n_cells=1), rel=1e-12)
 
     def test_invalid_counts(self):
         with pytest.raises(ValueError):
-            cmos_area(-1, 3, self.A)
+            cmos_area(-1, 3)
         with pytest.raises(ValueError):
-            cmos_area(1, 0, self.A)
+            cmos_area(1, 0)
 
 
 def test_chua_params_validation():

@@ -1,5 +1,6 @@
 """Sectioned key=value configuration parsing."""
 
+import dataclasses
 from dataclasses import replace
 
 import pytest
@@ -62,8 +63,6 @@ KEY_VALUES = {
     ("magnet", "thickness"): ("1e-9", 1e-9), ("magnet", "ms"): ("6e5", 6e5),
     ("magnet", "ku"): ("7e4", 7e4), ("magnet", "alpha"): ("0.02", 0.02),
     ("channel", "length"): ("50e-9", 50e-9), ("channel", "l_sf"): ("300e-9", 300e-9),
-    ("channel", "sigma"): ("1e7", 1e7),
-    ("channel", "cross_section"): ("1e-16", 1e-16),
     ("channel", "beta"): ("0.4", 0.4),
     ("channel", "ground_spin_sink"): ("0.1", 0.1),
     ("mtj", "t_ox_ref"): ("2.1e-9", 2.1e-9), ("mtj", "t_ox_read"): ("1.9e-9", 1.9e-9),
@@ -86,7 +85,7 @@ KEY_VALUES = {
 def test_every_schema_key_sets_the_field_it_names():
     keys = {(sec, key) for sec, entries in _SCHEMA.items() for key in entries}
     assert keys == set(KEY_VALUES)
-    assert len(keys) == 39
+    assert len(keys) == 37
     default = FullConfig()
     for (sec, key), (text, value) in KEY_VALUES.items():
         field_name, _ = _SCHEMA[sec][key]
@@ -97,6 +96,25 @@ def test_every_schema_key_sets_the_field_it_names():
             else replace(default, **{sec: replace(getattr(default, sec),
                                                   **{field_name: value})})
         assert parse_config(f"[{sec}]\n{key} = {text}\n") == expected, (sec, key)
+
+
+# fields that no config key sets: the sweep sets these itself, per point
+SWEPT_FIELDS = {("drive_model", "V_drive"), ("drive_model", "size_multiplier")}
+
+
+def test_every_config_field_is_reachable_from_a_key():
+    reached = {(sec, name) for sec, entries in _SCHEMA.items()
+               for name, _ in entries.values()}
+    default, fields = FullConfig(), set()
+    for f in dataclasses.fields(FullConfig):
+        part = getattr(default, f.name)
+        if dataclasses.is_dataclass(part):
+            fields |= {(f.name, g.name) for g in dataclasses.fields(part)}
+        else:
+            # FullConfig's own fields come from [network]
+            fields.add(("network", f.name))
+    assert SWEPT_FIELDS <= fields
+    assert fields - SWEPT_FIELDS == reached
 
 
 class TestErrors:
@@ -157,6 +175,8 @@ class TestErrors:
         "[drive_model]\nsize = 2\n",
         "[energy]\nfeature_size = 32e-9\n",
         "[energy]\nmin_width_f = 4\n",
+        "[channel]\nsigma = 1e7\n",
+        "[channel]\ncross_section = 1e-16\n",
     ])
     def test_deleted_key_is_unknown(self, text):
         with pytest.raises(ConfigError, match="line 2: unknown key"):

@@ -205,7 +205,7 @@ class TestSwitchTime:
 
     def test_wrong_sign_rejected(self):
         with pytest.raises(ValueError):
-            switch_times(P, 1e-6, 300.0, [0])
+            switch_times(P, 1e-6, 300.0, [0], self.CFG)
 
     def test_step_guard(self):
         Is = -10 * analytic_critical_current(P)

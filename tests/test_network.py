@@ -3,6 +3,8 @@ convergence detection, Hebbian training and template file I/O."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spincnn import load_glyph
 from spincnn.core import (STREAM_LLG, MagnetParams, Pattern, SimConfig,
@@ -15,6 +17,7 @@ from spincnn.network import (BOUNDARY_MINUS_ONE, BOUNDARY_ZERO_FLUX,
                              noise_filter_templates, quantize_templates, run,
                              run_many, save_templates)
 from spincnn.readpath import InverterModel
+from spincnn.synapse import LEVELS_PER_UNIT_WEIGHT, representable_weights
 
 IC = analytic_critical_current(MagnetParams())
 MODEL = CellModel(i0=10 * IC)
@@ -45,7 +48,7 @@ class TestTemplates:
 def stepper_currents(grid, model=MODEL):
     """Net spin currents of a one-member `GridStepper` at the grid's state."""
     s = GridStepper([(grid, SimConfig(), model)])
-    return s.currents(s.outputs())[0]
+    return s.currents(model.logic(s.mz))[0]
 
 
 class TestNetCurrents:
@@ -86,7 +89,8 @@ def steps(grid, cfg, model, n):
     under the currents of the outputs read before it."""
     s = GridStepper([(grid, cfg, model)])
     for _ in range(n):
-        s.heun.torque[...] = stt_rate(model.magnet, s.currents(s.outputs()))
+        Is = s.currents(model.logic(s.mz))
+        s.heun.torque[...] = stt_rate(model.magnet, Is)
         s.advance()
     return np.moveaxis(s.heun.m[:3, 0], 0, -1)
 
@@ -234,6 +238,20 @@ class TestTemplateFiles:
         back = load_templates(text)
         assert np.array_equal(np.asarray(back.A), np.asarray(t.A))
         assert np.array_equal(np.asarray(back.B), np.asarray(t.B))
+
+    @given(st.integers(1, 4), st.integers(1, 4), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_representable_space_varying_sets_roundtrip(self, rows, cols,
+                                                        data):
+        n = 19 * rows * cols
+        levels = data.draw(st.lists(st.sampled_from(representable_weights()),
+                                    min_size=n, max_size=n))
+        w = np.array(levels).reshape(rows, cols, 19) / LEVELS_PER_UNIT_WEIGHT
+        t = TemplateSet(w[..., :9].reshape(rows, cols, 3, 3),
+                        w[..., 9:18].reshape(rows, cols, 3, 3), w[..., 18])
+        back = load_templates(save_templates(t, rows, cols))
+        for a, b in zip((t.A, t.B, t.I), (back.A, back.B, back.I)):
+            assert np.array_equal(a, b)
 
     def test_header_and_row_count(self):
         t = hebbian_train([(load_glyph("one"), load_glyph("two"))])

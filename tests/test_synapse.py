@@ -1,11 +1,12 @@
 """Programmable 4-magnet synapse codec, quantizer and drive IV model."""
 
 import math
+from fractions import Fraction
 from itertools import product
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from spincnn.synapse import (BRANCH_SIZES, DriveModel, SynapseConfig,
@@ -80,6 +81,18 @@ class TestQuantizer:
         assert quantize_weight(q) == q
         assert abs(q - w) <= 1.0
 
+    @given(st.one_of(st.floats(-1e300, 1e300), st.floats(-10, 10),
+                     st.integers(-9, 9).map(float)))
+    @example(1e300)
+    @example(-1e17)
+    @settings(max_examples=300, deadline=None)
+    def test_nearest_level_ties_away_from_zero(self, w):
+        # distances in exact arithmetic: in floats, w - 8 and w + 8 round
+        # to the same value once |w| >~ 1e17
+        want = min(representable_weights(),
+                   key=lambda v: (abs(Fraction(v) - Fraction(w)), -abs(v)))
+        assert quantize_weight(w) == want
+
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError):
             quantize_weight(math.nan)
@@ -102,15 +115,12 @@ class TestDriveModel:
         assert unit_current(d, 10e-3) == pytest.approx(2.8e-6, rel=1e-12)
         assert unit_current(d, 1.0) == pytest.approx(75e-6, rel=1e-12)
 
-    def test_off_means_zero(self):
-        assert drive_current(DriveModel(), input_on=False) == 0.0
-
     def test_on_at_one_volt(self):
-        assert drive_current(DriveModel(V_drive=1.0), True) == pytest.approx(75e-6)
+        assert drive_current(DriveModel(V_drive=1.0)) == pytest.approx(75e-6)
 
     def test_size_linearity(self):
-        a = drive_current(DriveModel(V_drive=0.3, size_multiplier=1), True)
-        b = drive_current(DriveModel(V_drive=0.3, size_multiplier=3), True)
+        a = drive_current(DriveModel(V_drive=0.3, size_multiplier=1))
+        b = drive_current(DriveModel(V_drive=0.3, size_multiplier=3))
         assert b == pytest.approx(3 * a, rel=1e-12)
 
     def test_monotone_in_voltage(self):

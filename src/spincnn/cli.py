@@ -39,8 +39,8 @@ from .analysis import (DELAY_WINDOW, Scenario, cmos_sweep, compare, pareto,
                        records_to_csv, sweep_parts)
 from .config import ConfigError, FullConfig, parse_config
 from .core import Pattern, frame_to_pgm, load_pattern_file, save_pattern
-from .dynamics import (T0_TILT_DEG, analytic_critical_current,
-                       critical_spin_current, switch_times)
+from .dynamics import (analytic_critical_current, critical_spin_current,
+                       switch_times, t0_crossing_step)
 from .network import (CnnGrid, hebbian_train, load_templates,
                       noise_filter_templates, run, save_templates)
 from .readpath import divider_voltage, read_cell
@@ -374,14 +374,15 @@ def _oracle_read_curve(full: FullConfig) -> int:
 
 
 def _oracle_switch_stats(full: FullConfig) -> int:
-    p = full.magnet
+    p, sim = full.magnet, full.sim
     i0 = _demo_i0(full)
-    [t0] = switch_times(p, -i0, 0.0, [0], full.sim, tilt_deg=T0_TILT_DEG)
-    if t0 is None:
+    n0 = t0_crossing_step(p, -i0, -sim.mz_threshold, sim.t_max, sim.dt)
+    if n0 is None:
         print(f"drive {-i0:.3e} A does not switch at T = 0")
         return EXIT_ERROR
-    times = [t for t in switch_times(p, -i0, full.sim.temperature, range(20),
-                                     full.sim) if t is not None]
+    t0 = n0 * sim.dt
+    times = [t for t in switch_times(p, -i0, sim.temperature, range(20), sim)
+             if t is not None]
     if not times:
         print("no stochastic realization switched")
         return EXIT_ERROR
@@ -390,7 +391,7 @@ def _oracle_switch_stats(full: FullConfig) -> int:
     ok = 1 / 3 <= ratio <= 3.0 and len(times) >= 18
     print(f"deterministic (T = 0) switch time: {t0 * 1e9:.4f} ns")
     print(f"stochastic mean over {len(times)}/20 seeds at "
-          f"{full.sim.temperature:.0f} K: {mean * 1e9:.4f} ns "
+          f"{sim.temperature:.0f} K: {mean * 1e9:.4f} ns "
           f"(std {float(np.std(times)) * 1e9:.4f} ns)")
     print(f"ratio stochastic/deterministic: {ratio:.3f} (tolerance: factor 3)")
     print("agreement: " + ("yes" if ok else "NO"))

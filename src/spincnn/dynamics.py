@@ -17,19 +17,19 @@ renormalization of m.
 Sign convention: positive spin current drives m_z toward +1.
 
 Three implementations of the Heun step exist. `heun_step` takes and returns
-(..., 3) arrays and serves single magnets and small batches. `GridHeun`
-steps a whole grid in place from preallocated buffers in a cyclic
-component-first layout, (5, rows, cols) holding x, y, z, x, y; it also
-steps an ensemble of independent single magnets as a (5, n) grid, which
-is how `switch_times` runs its realisations. It owns its inputs, a thermal
-buffer in the draw layout (*grid, 3) and a torque buffer, and binds every
-view of its buffers once, so a step is a fixed run of ufunc calls with no
-slicing. Every element goes through the same floating-point operations in
-the same order as in `heun_step`, so both give the same bits. The third
-is the scalar float loop of `_deterministic_switches`, one noiseless
-magnet, unrolled for the critical-current bisection. It stays: one magnet
-is all NumPy dispatch, 67 us per step in a one-magnet `GridHeun` against
-2.2 us here (medians of 25 runs of 2,000 steps; Python 3.11, NumPy 2.4).
+(..., 3) arrays. `GridHeun` steps a whole grid in place from preallocated
+buffers in a cyclic component-first layout, (5, rows, cols) holding x, y,
+z, x, y; it also steps an ensemble of independent single magnets as a
+(5, n) grid, which is how `switch_times` runs its thermal realisations. It
+owns its inputs, a thermal buffer in the draw layout (*grid, 3) and a
+torque buffer, and binds every view of its buffers once, so a step is a
+fixed run of ufunc calls with no slicing. Both give the same bits: every
+element goes through the same floating-point operations in the same order.
+`t0_crossing_step`, the one T = 0 loop of the critical-current bisection
+and the switch-stats oracle, is `heun_step` unrolled in scalar floats at
+zero thermal field, again with its bits: one magnet is all NumPy dispatch,
+~70 us per step in a one-magnet `GridHeun` against ~1.5 us here (Python
+3.11, NumPy 2.4, 2 shared cores).
 """
 
 from __future__ import annotations
@@ -223,68 +223,62 @@ def analytic_critical_current(p: MagnetParams) -> float:
     return p.alpha * GAMMA * MU0 * p.Hk * Q * p.Ns
 
 
-def _deterministic_switches(p: MagnetParams, Is: float, horizon: float,
-                            dt: float) -> bool:
-    """T = 0 probe: does |Is| (anti-parallel) drive m_z below -0.5 in time?
+def t0_crossing_step(p: MagnetParams, Is: float, level: float, horizon: float,
+                     dt: float) -> int | None:
+    """First step n at which a noiseless magnet has m_z <= level, or None.
 
-    Scalar float math; bails out early once the tilt has visibly decayed,
-    which at zero temperature proves the current is sub-critical.
+    Starts T0_TILT_DEG off +z toward +x under Is and runs round(horizon /
+    dt) steps. At T = 0 the tilt only grows or only decays, so a tilt below
+    0.3 of its start while m_z > 0 (checked every 1,000 steps) ends it with
+    None. Bit for bit with `heun_step` at zero thermal field: the products
+    of hx = hy = 0 are exact zeros and are left out, gy = c (-mx hz) is
+    gm (mx hz), and the rest is `_drift` and `heun_step`, op for op.
     """
-    alpha = p.alpha
-    hk = p.Hk
-    pz = stt_rate(p, -abs(Is))
-    gm = GAMMA * MU0
-    inv = 1.0 / (1.0 + alpha * alpha)
-    a2 = alpha * alpha
+    if dt > MAX_DT:
+        raise ValueError(f"dt = {dt} exceeds stability guard {MAX_DT}")
+    alpha, hk, tz = p.alpha, p.Hk, stt_rate(p, Is)
+    gm, a2, half_dt = GAMMA * MU0, alpha * alpha, 0.5 * dt
+    c, k = -gm, 1.0 + a2
     theta0 = math.radians(T0_TILT_DEG)
     mx, my, mz = math.sin(theta0), 0.0, math.cos(theta0)
     decay_floor = math.sin(theta0) * 0.3
     n_steps = int(round(horizon / dt))
-    for step in range(n_steps):
-        # two Heun stages, unrolled with plain floats for speed
-        hzz = hk * mz
-        gx = -gm * (my * hzz)
-        gy = -gm * (-mx * hzz)
-        gz = pz
-        mdg = mx * gx + my * gy + mz * gz
-        d1x = (gx + alpha * (my * gz - mz * gy) + a2 * mdg * mx) * inv
-        d1y = (gy + alpha * (mz * gx - mx * gz) + a2 * mdg * my) * inv
-        d1z = (gz + alpha * (mx * gy - my * gx) + a2 * mdg * mz) * inv
-        px_, py_, pz_ = mx + dt * d1x, my + dt * d1y, mz + dt * d1z
-        hzz = hk * pz_
-        gx = -gm * (py_ * hzz)
-        gy = -gm * (-px_ * hzz)
-        gz = pz
-        mdg = px_ * gx + py_ * gy + pz_ * gz
-        d2x = (gx + alpha * (py_ * gz - pz_ * gy) + a2 * mdg * px_) * inv
-        d2y = (gy + alpha * (pz_ * gx - px_ * gz) + a2 * mdg * py_) * inv
-        d2z = (gz + alpha * (px_ * gy - py_ * gx) + a2 * mdg * pz_) * inv
-        mx += 0.5 * dt * (d1x + d2x)
-        my += 0.5 * dt * (d1y + d2y)
-        mz += 0.5 * dt * (d1z + d2z)
-        norm = math.sqrt(mx * mx + my * my + mz * mz)
-        mx /= norm
-        my /= norm
-        mz /= norm
-        if mz < -0.5:
-            return True
-        if step % 1000 == 999 and mz > 0:
-            if math.sqrt(mx * mx + my * my) < decay_floor:
-                return False  # tilt collapsed: sub-critical
-    return False
+    for start in range(0, n_steps, 1000):
+        for n in range(start + 1, min(start + 1000, n_steps) + 1):
+            hz = hk * mz                       # predictor drift d1
+            gx, gy = c * (my * hz), gm * (mx * hz)
+            s = a2 * (mx * gx + my * gy + mz * tz)
+            d1x = (gx + alpha * (my * tz - mz * gy) + s * mx) / k
+            d1y = (gy + alpha * (mz * gx - mx * tz) + s * my) / k
+            d1z = (tz + alpha * (mx * gy - my * gx) + s * mz) / k
+            px, py, pz = mx + dt * d1x, my + dt * d1y, mz + dt * d1z
+            hz = hk * pz                       # corrector drift d2
+            gx, gy = c * (py * hz), gm * (px * hz)
+            s = a2 * (px * gx + py * gy + pz * tz)
+            d2x = (gx + alpha * (py * tz - pz * gy) + s * px) / k
+            d2y = (gy + alpha * (pz * gx - px * tz) + s * py) / k
+            d2z = (tz + alpha * (px * gy - py * gx) + s * pz) / k
+            mx += half_dt * (d1x + d2x)
+            my += half_dt * (d1y + d2y)
+            mz += half_dt * (d1z + d2z)
+            norm = math.sqrt(mx * mx + my * my + mz * mz)
+            mx, my, mz = mx / norm, my / norm, mz / norm
+            if mz <= level:
+                return n
+        if mz > 0 and math.sqrt(mx * mx + my * my) < decay_floor:
+            return None
+    return None
 
 
 def critical_spin_current(p: MagnetParams, horizon: float = 50e-9,
                           dt: float = 1e-12) -> float:
-    """Zero-temperature bisection for the minimal switching current [A].
-
-    Starts T0_TILT_DEG off +z and looks for the smallest anti-parallel
-    current magnitude that takes m_z below -0.5 within the horizon; the
-    bracket is resolved to CRITICAL_REL_TOL.
-    """
+    """Zero-temperature bisection for the minimal switching current [A]:
+    the smallest anti-parallel current magnitude that `t0_crossing_step`
+    takes below m_z = -0.5 within the horizon, to CRITICAL_REL_TOL."""
+    below = math.nextafter(-0.5, -math.inf)  # m_z < -0.5 as m_z <= below
     estimate = analytic_critical_current(p)
     lo, hi = 0.0, estimate
-    while not _deterministic_switches(p, hi, horizon, dt):
+    while t0_crossing_step(p, -hi, below, horizon, dt) is None:
         hi *= 2.0
         if hi > 1e3 * estimate:
             raise RuntimeError("critical-current bracket failure: "
@@ -292,33 +286,33 @@ def critical_spin_current(p: MagnetParams, horizon: float = 50e-9,
         lo = hi / 2.0
     while hi - lo > CRITICAL_REL_TOL * hi:
         mid = 0.5 * (lo + hi)
-        if _deterministic_switches(p, mid, horizon, dt):
-            hi = mid
-        else:
+        if t0_crossing_step(p, -mid, below, horizon, dt) is None:
             lo = mid
+        else:
+            hi = mid
     return hi
 
 
-def switch_times(p: MagnetParams, Is: float, T: float, seeds, cfg: SimConfig,
-                 tilt_deg: float = 0.0) -> list[float | None]:
+def switch_times(p: MagnetParams, Is: float, T: float, seeds,
+                 cfg: SimConfig) -> list[float | None]:
     """First-passage times of m_z through -mz_threshold [s], one per seed.
 
-    Each seed is a member of one `GridHeun` ensemble started tilt_deg off +z
-    toward +x, with its own make_rng(seed, STREAM_SWITCH); its time is the
-    first (step + 1) dt with m_z <= -mz_threshold, None after t_max. `Is`
-    must oppose the +z start. A member that has crossed steps on, on stale
-    samples, until all have. Bit-identity contract: each time equals that of
-    a `heun_step` loop fed rng.standard_normal(3) * sigma per step. Samples
-    come SWITCH_BLOCK steps at a time into a (SWITCH_BLOCK, 3) slice, scaled
-    in place; a generator yields one stream of normals, so one call for 3 k
+    Each seed is a member of one `GridHeun` ensemble started at +z, with its
+    own make_rng(seed, STREAM_SWITCH); its time is the first (step + 1) dt
+    with m_z <= -mz_threshold, None after t_max. `Is` must oppose the +z
+    start. A member that has crossed steps on, on stale samples, until all
+    have. Bit-identity contract: each time equals that of a `heun_step`
+    loop fed rng.standard_normal(3) * sigma per step. Samples come
+    SWITCH_BLOCK steps at a time into a (SWITCH_BLOCK, 3) slice, scaled in
+    place; a generator yields one stream of normals, so one call for 3 k
     values gives the bits of k calls for 3, in order.
     """
     if Is >= 0:
         raise ValueError("Is must oppose the initial +z orientation")
     if cfg.dt > MAX_DT:
         raise ValueError(f"dt = {cfg.dt} exceeds stability guard {MAX_DT}")
-    n, tilt = len(seeds), math.radians(tilt_deg)
-    heun = GridHeun(np.tile([math.sin(tilt), 0.0, math.cos(tilt)], (n, 1)), p, cfg.dt)
+    n = len(seeds)
+    heun = GridHeun(np.tile([0.0, 0.0, 1.0], (n, 1)), p, cfg.dt)
     heun.torque[...] = stt_rate(p, Is)
     sigma = thermal_sigma(p, T, cfg.dt)
     pending = {k: make_rng(seed, STREAM_SWITCH) for k, seed in enumerate(seeds)}

@@ -372,6 +372,21 @@ class TestOracle:
         assert f"seeds at 300 K: {float(np.mean(times)) * 1e9:.4f} ns" in out
         assert "switch time: 1.3520 ns" in out
 
+    @pytest.mark.parametrize("config", ["default", "mz_half"])
+    @pytest.mark.parametrize("check", ["critical-current", "switch-stats"])
+    def test_matches_reference_output(self, check, config, monkeypatch,
+                                      capsys):
+        # stdout from before the bisection and the switch-stats reference
+        # shared one T = 0 loop; any drift in those bits shows here
+        monkeypatch.delenv("SPINCNN_CONFIG", raising=False)
+        ref = os.path.join(os.path.dirname(__file__), "data", "oracle")
+        argv = ["oracle", check]
+        if config != "default":
+            argv += ["--config", os.path.join(ref, f"{config}.cfg")]
+        assert main(argv) == 0
+        with open(os.path.join(ref, f"{config}.{check}.txt"), "rb") as fh:
+            assert capsys.readouterr().out.encode() == fh.read()
+
     def test_switch_stats_step_guard_exits_one(self, tmp_path, capsys):
         cfg = tmp_path / "dt.cfg"
         cfg.write_text("[sim]\ndt = 5e-11\n")

@@ -10,10 +10,10 @@ from hypothesis import strategies as st
 
 from spincnn.constants import GAMMA, KB, MU0, Q
 from spincnn.core import STREAM_SWITCH, MagnetParams, SimConfig, make_rng
-from spincnn.dynamics import (MAX_DT, GridHeun, analytic_critical_current,
-                              critical_spin_current, effective_field,
-                              heun_step, llg_step, stt_rate, switch_times,
-                              thermal_sigma)
+from spincnn.dynamics import (MAX_DT, T0_TILT_DEG, GridHeun,
+                              analytic_critical_current, critical_spin_current,
+                              effective_field, heun_step, llg_step, stt_rate,
+                              switch_times, t0_crossing_step, thermal_sigma)
 
 P = MagnetParams()
 RNG = np.random.default_rng  # only for test-local inputs, never for physics
@@ -153,6 +153,10 @@ class TestCriticalCurrent:
         # precession), so only a coarse monotone drop is asserted
         assert small < full / 3
 
+    def test_step_guard(self):
+        with pytest.raises(ValueError, match="stability guard"):
+            critical_spin_current(P, dt=5e-11)
+
 
 @pytest.mark.parametrize("shape", [(7,), (1, 4, 3), (3, 4, 3)])
 @pytest.mark.parametrize("per_cell", [False, True], ids=["scalar", "per-cell"])
@@ -179,10 +183,10 @@ def test_grid_heun_equals_heun_step_loop(shape, per_cell, T):
         assert np.array_equal(heun.m[3:], heun.m[:2])
 
 
-def reference_switch_time(p, Is, T, seed, cfg, tilt_deg=0.0):
+def reference_switch_time(p, Is, T, seed, cfg, tilt_deg=0.0, trace=None):
     """One magnet stepped by `heun_step` with a per-step thermal draw of
-    standard_normal(3) * sigma; at T = 0 this is the former deterministic
-    loop of the switch-stats oracle (zero field, tilted start)."""
+    standard_normal(3) * sigma; at T = 0 and a tilted start this is the
+    loop that `t0_crossing_step` unrolls. Appends each m_z to `trace`."""
     rng = make_rng(seed, STREAM_SWITCH)
     tilt = math.radians(tilt_deg)
     m = np.array([math.sin(tilt), 0.0, math.cos(tilt)])
@@ -191,6 +195,8 @@ def reference_switch_time(p, Is, T, seed, cfg, tilt_deg=0.0):
     for n in range(1, int(round(cfg.t_max / cfg.dt)) + 1):
         thermal = rng.standard_normal(3) * sigma if sigma else np.zeros(3)
         m = heun_step(m, p, torque, thermal, cfg.dt)
+        if trace is not None:
+            trace.append(m[2])
         if m[2] <= -cfg.mz_threshold:
             return n * cfg.dt
     return None
@@ -233,18 +239,44 @@ class TestSwitchTime:
         assert switch_times(P, Is, 300.0, [4], self.CFG) == \
             switch_times(P, Is, 300.0, [4], self.CFG)
 
-    @pytest.mark.parametrize("T, seeds, cfg, tilt_deg, timeouts", [
-        (300.0, range(4), CFG, 0.0, 0),
-        (0.0, [0], SimConfig(), 1.0, 0),
-        (300.0, [7, 3, 1000003], SimConfig(t_max=1.3e-9), 0.0, 2),
-        (300.0, [7, 3, 1000003], SimConfig(mz_threshold=0.5), 0.0, 0),
-    ], ids=["300K", "T0-tilted", "with-timeouts", "threshold-0.5"])
-    def test_bit_identical_to_reference_loop(self, T, seeds, cfg, tilt_deg,
-                                             timeouts):
+    @pytest.mark.parametrize("T, seeds, cfg, timeouts", [
+        (300.0, range(4), CFG, 0),
+        (300.0, [7, 3, 1000003], SimConfig(t_max=1.3e-9), 2),
+        (300.0, [7, 3, 1000003], SimConfig(mz_threshold=0.5), 0),
+    ], ids=["300K", "with-timeouts", "threshold-0.5"])
+    def test_bit_identical_to_reference_loop(self, T, seeds, cfg, timeouts):
         Is = -10 * analytic_critical_current(P)
-        got = switch_times(P, Is, T, seeds, cfg, tilt_deg=tilt_deg)
-        assert got == [reference_switch_time(P, Is, T, s, cfg, tilt_deg)
-                       for s in seeds]
+        got = switch_times(P, Is, T, seeds, cfg)
+        assert got == [reference_switch_time(P, Is, T, s, cfg) for s in seeds]
         assert got.count(None) == timeouts
         # every switching member crosses after the first 256-step block
         assert all(t > 256 * cfg.dt for t in got if t is not None)
+
+
+class TestT0Crossing:
+    """The scalar T = 0 loop of the oracles against the `heun_step` loop."""
+
+    @pytest.mark.parametrize("mult", [3, 5, 10, 20])
+    def test_bit_identical_to_reference_loop(self, mult):
+        # one reference run to m_z <= -0.9 also gives the crossing at 0.5.
+        # m_z falls monotonically at T = 0, so with a level equal to the
+        # reference m_z after step n, a loop even one ulp above it there
+        # crosses at n + 1
+        cfg, Is = SimConfig(), -mult * analytic_critical_current(P)
+        mz = []
+        t_ref = reference_switch_time(P, Is, 0.0, 0, cfg, T0_TILT_DEG, trace=mz)
+        assert t0_crossing_step(P, Is, -0.9, cfg.t_max, cfg.dt) * cfg.dt == t_ref
+        n_half = next(n for n, v in enumerate(mz, 1) if v <= -0.5)
+        assert t0_crossing_step(P, Is, -0.5, cfg.t_max, cfg.dt) == n_half
+        assert all(np.diff(mz) < 0)
+        for n in np.linspace(1, len(mz), 12).astype(int):
+            assert t0_crossing_step(P, Is, mz[n - 1], cfg.t_max, cfg.dt) == n
+
+    def test_subcritical_drive_returns_none(self):
+        cfg = SimConfig(t_max=3e-9, mz_threshold=0.5)
+        Is = -0.5 * analytic_critical_current(P)
+        assert reference_switch_time(P, Is, 0.0, 0, cfg, T0_TILT_DEG) is None
+        # None at the 3,000-step horizon, and here from the tilt collapse
+        # check, which sees the tilt below 0.3 of its start within 10,000 steps
+        assert t0_crossing_step(P, Is, -0.5, cfg.t_max, cfg.dt) is None
+        assert t0_crossing_step(P, Is, -0.5, 1e-6, cfg.dt) is None

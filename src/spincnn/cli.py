@@ -462,11 +462,11 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args, ["spincnn"] + argv)
-    except CliError as exc:
+    except (CliError, ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
-    except (ValueError, RuntimeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except ArithmeticError as exc:
+        print(f"error: {exc} (a setting is out of range)", file=sys.stderr)
         return EXIT_ERROR
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 from .analysis import EnergyParams
 from .cmos import AmplifierModel
@@ -86,54 +86,25 @@ def _boundary(s: str) -> str:
     return s
 
 
-# section -> key -> (dataclass field name, converter)
-_SCHEMA = {
-    "sim": {
-        "dt": ("dt", _float), "t_max": ("t_max", _float),
-        "temperature": ("temperature", _float), "seed": ("seed", _int),
-        "hold_time": ("hold_time", _float),
-        "mz_threshold": ("mz_threshold", _float),
-        "sample_interval": ("sample_interval", _float),
-    },
-    "magnet": {
-        "length": ("length", _float), "width": ("width", _float),
-        "thickness": ("thickness", _float), "ms": ("Ms", _float),
-        "ku": ("Ku", _float), "alpha": ("alpha", _float),
-    },
-    "channel": {
-        "length": ("L", _float), "l_sf": ("l_sf", _float),
-        "beta": ("beta", _float), "ground_spin_sink": ("ground_spin_sink", _float),
-    },
-    "mtj": {
-        "t_ox_ref": ("t_ox_ref", _float), "t_ox_read": ("t_ox_read", _float),
-        "r_p_at_2nm": ("R_P_at_2nm", _float),
-        "lambda_ox": ("lambda_ox", _float), "tmr": ("TMR", _float),
-        "v_read": ("V_read", _float),
-    },
-    "inverter": {
-        "v_dd": ("V_dd", _float), "gain": ("gain", _float),
-        "v_th": ("V_th", _float),
-    },
-    # the sweep sets the drive voltage and the driver size of every point
-    "drive_model": {
-        "iv": ("iv_table", _iv_table),
-    },
-    "drive": {
-        "i0_over_ic": ("i0_over_ic", _float), "i0": ("i0", _float),
-    },
-    "amplifier": {
-        "p_neuron": ("p_neuron", _float), "p_synapse": ("p_synapse", _float),
-        "delay_0": ("delay_0", _float), "delay_floor": ("delay_floor", _float),
-        "p_leak": ("p_leak", _float),
-    },
-    "energy": {
-        "c_gate_unit": ("c_gate_unit", _float),
-        "inverter_leakage": ("inverter_leakage", _float),
-    },
-    "network": {
-        "boundary": ("boundary", _boundary),
-    },
-}
+# A key is its field's name in lower case, with two renamed keys. The sweep
+# sets the drive voltage and the driver size of every point, so no key does.
+_RENAMED = {("channel", "L"): "length", ("drive_model", "iv_table"): "iv"}
+_SWEPT = {("drive_model", "V_drive"), ("drive_model", "size_multiplier")}
+# converter by the type of the field's default; i0's default is None
+_CONVERTERS = {float: _float, int: _int, tuple: _iv_table, type(None): _float}
+
+
+def _section_schema(section: str, part) -> dict:
+    return {_RENAMED.get((section, f.name), f.name.lower()):
+            (f.name, _CONVERTERS[type(f.default)])
+            for f in fields(part) if (section, f.name) not in _SWEPT}
+
+
+# section -> key -> (dataclass field name, converter); [network] sets
+# FullConfig's own field
+_SCHEMA = {f.name: _section_schema(f.name, f.default_factory)
+           for f in fields(FullConfig) if f.name != "boundary"}
+_SCHEMA["network"] = {"boundary": ("boundary", _boundary)}
 
 
 def parse_config(text: str) -> FullConfig:
@@ -176,7 +147,7 @@ def parse_config(text: str) -> FullConfig:
     cfg = FullConfig(**parts)
     try:
         b = logic_mz_boundary(cfg.mtj, cfg.inverter)
-    except ValueError as exc:
+    except (ValueError, ArithmeticError) as exc:
         raise ConfigError(f"[mtj]: {exc}") from exc
     if not -1.0 < b < 1.0:
         raise ConfigError(f"[inverter] v_th: logic boundary at m_z = {b:.4g} "

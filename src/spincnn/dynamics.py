@@ -208,16 +208,6 @@ class GridHeun:
         m_tail[...] = m_head
 
 
-def llg_step(m: np.ndarray, p: MagnetParams, Is: float, T: float, dt: float,
-             rng: np.random.Generator) -> np.ndarray:
-    """Advance one magnet by one step; |m| = 1 enforced on output."""
-    if dt > MAX_DT:
-        raise ValueError(f"dt = {dt} exceeds stability guard {MAX_DT}")
-    sigma = thermal_sigma(p, T, dt)
-    thermal = rng.standard_normal(3) * sigma if sigma else np.zeros(3)
-    return heun_step(np.asarray(m, dtype=float), p, stt_rate(p, Is), thermal, dt)
-
-
 def analytic_critical_current(p: MagnetParams) -> float:
     """Small-angle damping/torque balance estimate alpha gamma mu0 Hk q Ns [A]."""
     return p.alpha * GAMMA * MU0 * p.Hk * Q * p.Ns
@@ -277,10 +267,13 @@ def critical_spin_current(p: MagnetParams, horizon: float = 50e-9,
     takes below m_z = -0.5 within the horizon, to CRITICAL_REL_TOL."""
     below = math.nextafter(-0.5, -math.inf)  # m_z < -0.5 as m_z <= below
     estimate = analytic_critical_current(p)
+    if not 0.0 < estimate < math.inf:
+        raise ValueError(f"analytic critical-current estimate {estimate:.3g} A "
+                         "is zero or not finite: no bisection bracket")
     lo, hi = 0.0, estimate
     while t0_crossing_step(p, -hi, below, horizon, dt) is None:
         hi *= 2.0
-        if hi > 1e3 * estimate:
+        if hi / estimate > 1e3:
             raise RuntimeError("critical-current bracket failure: "
                                f"{hi:.3e} A does not switch within {horizon} s")
         lo = hi / 2.0

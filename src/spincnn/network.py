@@ -337,11 +337,12 @@ def run_many(members, frames: bool = True) -> list[Trajectory]:
     one it gets when run alone, whatever the other members; frames=False
     keeps only each member's last sample.
     """
-    s = GridStepper(members, frames)
-    cfg = members[0][1]
     # a state that overflows is reported once, by the finite check of
-    # `GridStepper.sample`, not by a warning from each kernel call
+    # `GridStepper.sample`, not by a warning from the first drive or from
+    # each kernel call
     with np.errstate(all="ignore"):
+        s = GridStepper(members, frames)
+        cfg = members[0][1]
         settle(s.step, s.settled, s.sample, s.stop, cfg.dt, cfg.t_max,
                cfg.hold_time, cfg.sample_interval)
     return s.trajectories
@@ -361,8 +362,7 @@ def noise_filter_templates() -> TemplateSet:
     return TemplateSet(A, np.zeros((3, 3)), 0.0)
 
 
-def hebbian_train(pairs: list[tuple[Pattern, Pattern]],
-                  quantize: bool = True) -> TemplateSet:
+def hebbian_train(pairs: list[tuple[Pattern, Pattern]]) -> TemplateSet:
     """Space-varying templates from the local outer-product rule.
 
     For each cell and each 3x3 neighbor offset,
@@ -387,13 +387,9 @@ def hebbian_train(pairs: list[tuple[Pattern, Pattern]],
         t = np.append(target.to_array(), -1.0)
         A += t[:n, None] * t[idx]
         B += t[:n, None] * c[idx]
-    A = A.reshape(rows, cols, 3, 3) / len(pairs)
-    B = B.reshape(rows, cols, 3, 3) / len(pairs)
-    I = np.zeros((rows, cols))
-    if quantize:
-        A = quantize_templates(A)
-        B = quantize_templates(B)
-    return TemplateSet(A, B, I)
+    A = quantize_templates(A.reshape(rows, cols, 3, 3) / len(pairs))
+    B = quantize_templates(B.reshape(rows, cols, 3, 3) / len(pairs))
+    return TemplateSet(A, B, np.zeros((rows, cols)))
 
 
 def quantize_templates(weights: np.ndarray) -> np.ndarray:

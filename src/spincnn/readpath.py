@@ -9,10 +9,12 @@ low resistance, low node voltage) reads as logic +1 after inversion.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 T_OX_MIN = 1e-9  # resistance model validity window [m]
 T_OX_MAX = 3e-9
+EXP_MAX = math.log(sys.float_info.max)  # largest exponent math.exp takes
 
 
 @dataclass(frozen=True)
@@ -89,7 +91,8 @@ def inverter_out(inv: InverterModel, v_in: float) -> float:
     """Smooth monotone-decreasing inverter transfer, clamped to the rails."""
     if not 0.0 <= v_in <= inv.V_dd:
         raise ValueError(f"v_in = {v_in} outside rails [0, {inv.V_dd}]")
-    v = inv.V_dd / (1.0 + math.exp(inv.gain * (v_in - inv.V_th) / inv.V_dd))
+    x = min(inv.gain * (v_in - inv.V_th) / inv.V_dd, EXP_MAX)
+    v = inv.V_dd / (1.0 + math.exp(x))
     return min(max(v, 0.0), inv.V_dd)
 
 

@@ -92,6 +92,8 @@ def solve_drift_diffusion(n_points: int, channel: ChannelParams,
     L, l = channel.L, channel.l_sf
     n = n_points
     h = L / (n - 1)
+    if not h > 0:
+        raise ValueError(f"channel length L = {L:g} m leaves no grid spacing")
     x = np.linspace(0.0, L, n)
     # unknowns mu_0 .. mu_{n-2}; mu_{n-1} = 0 (ideal sink)
     ab = np.zeros((3, n - 1))

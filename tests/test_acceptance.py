@@ -22,7 +22,7 @@ from spincnn.constants import GAMMA, KB, MU0
 from spincnn.core import (MagnetParams, SimConfig, TemplateSet, add_noise,
                           make_rng)
 from spincnn.dynamics import (GridHeun, analytic_critical_current,
-                              critical_spin_current, heun_step, llg_step,
+                              critical_spin_current, heun_step, stt_rate,
                               thermal_sigma)
 from spincnn.network import (CellModel, CnnGrid, hebbian_train,
                              noise_filter_templates, run_many)
@@ -57,8 +57,9 @@ def test_criterion_01_llg_physics_suite():
     # (a) |m| conservation <= 1e-9 per step
     m = np.array([0.6, 0.0, 0.8])
     worst = 0.0
+    torque, sigma = stt_rate(p, -1e-6), thermal_sigma(p, 300.0, 1e-12)
     for _ in range(2000):
-        m = llg_step(m, p, -1e-6, 300.0, 1e-12, rng)
+        m = heun_step(m, p, torque, rng.standard_normal(3) * sigma, 1e-12)
         worst = max(worst, abs(float(np.linalg.norm(m)) - 1.0))
     assert worst <= 1e-9
 

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ import pytest
 import spincnn
 from spincnn import load_glyph
 from spincnn.cli import _trajectory_csv, main
+from spincnn.config import _SCHEMA
 from spincnn.core import (MagnetParams, Pattern, SimConfig, add_noise,
                           load_pattern_file, save_pattern)
 from spincnn.dynamics import analytic_critical_current, switch_times
@@ -396,3 +398,50 @@ class TestOracle:
     def test_unknown_check_rejected(self, capsys):
         with pytest.raises(SystemExit):
             main(["oracle", "levitation"])
+
+    def test_critical_current_without_bracket_exits_one(self, tmp_path,
+                                                         capsys):
+        # Hk underflows, so the analytic estimate that starts the
+        # bisection bracket is 0 and doubling it never brackets anything
+        cfg = tmp_path / "ku.cfg"
+        cfg.write_text("[magnet]\nku = 5e-324\n")
+        assert main(["oracle", "critical-current", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert "critical-current estimate 0 A" in err[0]
+
+
+# the [sim] keys that set how long a run lasts stay fixed and short: a drawn
+# value could make a run unbounded (t_max = 1e300 never ends)
+RUN_LENGTH = {"dt": "1e-12", "t_max": "20e-12", "hold_time": "5e-12",
+              "sample_interval": "5e-12"}
+SHORT_RUN = "[sim]\n" + "".join(f"{k} = {v}\n" for k, v in RUN_LENGTH.items())
+DRAWN_KEYS = [(section, key) for section, keys in _SCHEMA.items()
+              for key in keys if not (section == "sim" and key in RUN_LENGTH)]
+
+
+@pytest.mark.parametrize("section, key", DRAWN_KEYS,
+                         ids=[f"{s}.{k}" for s, k in DRAWN_KEYS])
+def test_extreme_values_of_every_key_end_cleanly(tmp_path, capsys, section,
+                                                 key):
+    # whatever a key is set to, a command exits 0 or 2, or exits 1 with one
+    # line on stderr: never a traceback, and no warning ahead of the error
+    pattern = tmp_path / "p.pat"
+    pattern.write_text("#..#\n.##.\n.##.\n#..#\n")
+    commands = [["simulate", "--pattern", str(pattern), "--out",
+                 str(tmp_path / "o")]]
+    if section in ("inverter", "mtj", "channel"):
+        commands += [["oracle", "read-curve"], ["oracle", "transmission"]]
+    if section == "magnet":
+        commands.append(["oracle", "critical-current"])
+    cfg = tmp_path / "c.cfg"
+    for value in ("0", "-1", "1e-300", "1e300"):
+        cfg.write_text(SHORT_RUN + f"[{section}]\n{key} = {value}\n")
+        for argv in commands:
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                rc = main(argv + ["--config", str(cfg)])
+            err = capsys.readouterr().err.splitlines() + \
+                [str(w.message) for w in caught]
+            assert rc in (0, 2) or (rc == 1 and len(err) == 1), \
+                (value, argv[:2], rc, err)

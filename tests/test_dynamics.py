@@ -10,9 +10,9 @@ from hypothesis import strategies as st
 
 from spincnn.constants import GAMMA, KB, MU0, Q
 from spincnn.core import STREAM_SWITCH, MagnetParams, SimConfig, make_rng
-from spincnn.dynamics import (MAX_DT, T0_TILT_DEG, GridHeun,
+from spincnn.dynamics import (T0_TILT_DEG, GridHeun,
                               analytic_critical_current, critical_spin_current,
-                              effective_field, heun_step, llg_step, stt_rate,
+                              effective_field, heun_step, stt_rate,
                               switch_times, t0_crossing_step, thermal_sigma)
 
 P = MagnetParams()
@@ -47,13 +47,6 @@ class TestThermalField:
         assert thermal_sigma(P, 300.0, 1e-12) == pytest.approx(expected, rel=1e-12)
         assert expected == pytest.approx(18193.8, rel=1e-4)
 
-    def test_zero_temperature_sample_is_zero(self):
-        m = np.array([0.6, 0.0, 0.8])
-        Is = 2 * analytic_critical_current(P)
-        out = llg_step(m, P, Is, 0.0, 1e-12, make_rng(0, 3))
-        ref = heun_step(m, P, stt_rate(P, Is), np.zeros(3), 1e-12)
-        assert np.array_equal(out, ref)
-
     def test_sample_mean_small(self):
         rng = make_rng(12, 3)
         sigma = thermal_sigma(P, 300.0, 1e-12)
@@ -65,21 +58,21 @@ class TestThermalField:
             thermal_sigma(P, -1.0, 1e-12)
 
 
+def thermal_step(m, Is, T, rng, dt=1e-12):
+    """One `heun_step` under spin current Is with a fresh thermal sample."""
+    thermal = rng.standard_normal(3) * thermal_sigma(P, T, dt)
+    return heun_step(m, P, stt_rate(P, Is), thermal, dt)
+
+
 class TestLlgStep:
     def test_pole_is_fixed_point(self):
-        m = llg_step(np.array([0.0, 0.0, 1.0]), P, 0.0, 0.0, 1e-12,
-                     make_rng(0, 2))
+        m = heun_step(np.array([0.0, 0.0, 1.0]), P, 0.0, np.zeros(3), 1e-12)
         assert m == pytest.approx([0.0, 0.0, 1.0], abs=1e-12)
-
-    def test_step_guard(self):
-        with pytest.raises(ValueError, match="stability guard"):
-            llg_step(np.array([0.0, 0.0, 1.0]), P, 0.0, 0.0, 2 * MAX_DT,
-                     make_rng(0, 2))
 
     def test_determinism(self):
         m0 = np.array([0.6, 0.0, 0.8])
-        a = llg_step(m0, P, -1e-6, 300.0, 1e-12, make_rng(5, 2))
-        b = llg_step(m0, P, -1e-6, 300.0, 1e-12, make_rng(5, 2))
+        a = thermal_step(m0, -1e-6, 300.0, make_rng(5, 2))
+        b = thermal_step(m0, -1e-6, 300.0, make_rng(5, 2))
         assert np.array_equal(a, b)
 
     @given(st.floats(-0.99, 0.99), st.floats(0.0, 2 * math.pi),
@@ -88,7 +81,7 @@ class TestLlgStep:
     def test_norm_preserved(self, mz, phi, Is):
         s = math.sqrt(1.0 - mz * mz)
         m = np.array([s * math.cos(phi), s * math.sin(phi), mz])
-        out = llg_step(m, P, Is, 300.0, 1e-12, make_rng(1, 2))
+        out = thermal_step(m, Is, 300.0, make_rng(1, 2))
         assert abs(np.linalg.norm(out) - 1.0) <= 1e-9
 
     def test_larmor_frequency(self):
@@ -156,6 +149,21 @@ class TestCriticalCurrent:
     def test_step_guard(self):
         with pytest.raises(ValueError, match="stability guard"):
             critical_spin_current(P, dt=5e-11)
+
+    @pytest.mark.parametrize("p, estimate", [
+        (MagnetParams(Ku=5e-324), "estimate 0 A"),           # Hk underflows
+        (MagnetParams(Ku=1e300, length=1e100), "estimate inf A"),
+    ])
+    def test_estimate_without_bracket_rejected(self, p, estimate):
+        with pytest.raises(ValueError, match=estimate):
+            critical_spin_current(p, horizon=1e-9)
+
+    def test_bracket_overflow_ends(self):
+        # an estimate within 1e3 of the largest float: the doubling reaches
+        # inf, and the bracket check must still fire
+        p = MagnetParams(Ku=1e300, thickness=2e7)
+        with pytest.raises(RuntimeError, match="bracket failure"):
+            critical_spin_current(p, horizon=1e-9)
 
 
 @pytest.mark.parametrize("shape", [(7,), (1, 4, 3), (3, 4, 3)])

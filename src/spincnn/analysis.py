@@ -222,17 +222,6 @@ def sweep_parts(s: Scenario, voltages, sizes, seeds, cfg: SimConfig,
         yield from map(_sweep_chunk, chunks)
 
 
-def sweep_voltage(s: Scenario, voltages, sizes, seeds, cfg: SimConfig,
-                  base_model: CellModel, drive: DriveModel, ep: EnergyParams,
-                  jobs: int = 1) -> list[SweepRecord]:
-    """All records of `sweep_parts`, sorted by (voltage, size, seed)."""
-    records = [r for part in sweep_parts(s, voltages, sizes, seeds, cfg,
-                                         base_model, drive, ep, jobs)
-               for r in part]
-    records.sort(key=lambda r: (r.v_drive, r.size_mult, r.seed))
-    return records
-
-
 def aggregate(records: list[SweepRecord]):
     """Per (voltage, size): median delay and mean energy over converged seeds.
 

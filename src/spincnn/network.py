@@ -12,14 +12,16 @@ which keeps the magnets of all running members in the component-first
 layout of `dynamics.GridHeun`, (5, members, rows, cols), and steps them in
 place; `core.settle` decides when each member has settled and hands it
 back, and the stepper then drops it, so the kernel's cost follows the
-members still running. `run` is the one-member case. The template drive
-of every cell is W @ y + c, from the operator that
-`core.template_operator` builds once per member, rebuilt only when a
-logic output flips. Bit-identity contract: every member's trajectory
-equals, bit for bit, the plain loop of `dynamics.heun_step` on its own
-(rows, cols, 3) layout, with one make_rng(seed, STREAM_LLG, n) draw per
-step n and the drive rebuilt from the logic outputs after every step,
-whatever the other members of its ensemble.
+members still running. `run` is the one-member case. The drive of every
+cell is i0 (W @ y + c) times the channel's delivered fraction, from the
+operator that `core.template_operator` builds once per member, rebuilt
+only when a logic output flips. `GridStepper.currents` is the one place
+that sums the synapses' spin currents; `net_currents` reads it for one
+grid. Bit-identity contract: every member's trajectory equals, bit for
+bit, the plain loop of `dynamics.heun_step` on its own (rows, cols, 3)
+layout, with one make_rng(seed, STREAM_LLG, n) draw per step n and the
+drive rebuilt from the logic outputs after every step, whatever the
+other members of its ensemble.
 """
 
 from __future__ import annotations
@@ -117,14 +119,6 @@ class Trajectory:
     @property
     def converged(self) -> bool:
         return self.convergence_time is not None
-
-
-def net_currents(grid: CnnGrid, model: CellModel) -> np.ndarray:
-    """Net perpendicular spin current per neuron [A] at the current state."""
-    y = model.logic(grid.m[:, :, 2])
-    W, c = template_operator(grid.templates, grid.u, model.boundary)
-    return model.i0 * (W @ y.reshape(-1) + c).reshape(y.shape) \
-        * model.channel.delivery
 
 
 @dataclass
@@ -323,6 +317,12 @@ class GridStepper:
                                       self.model.magnet, self.dt)
         self._bind()
         self._drive()
+
+
+def net_currents(grid: CnnGrid, model: CellModel) -> np.ndarray:
+    """Net perpendicular spin current per neuron [A] at the grid's state:
+    the drive of a one-member `GridStepper`."""
+    return GridStepper([(grid, SimConfig(), model)]).Is[0]
 
 
 def run_many(members, frames: bool = True) -> list[Trajectory]:

@@ -70,6 +70,9 @@ def mtj_resistance(p: MtjParams, t_ox: float, mz: float) -> float:
     r_p = p.R_P_at_2nm * math.exp((t_ox - 2e-9) / p.lambda_ox)
     r_ap = r_p * (1.0 + p.TMR)
     g = 0.5 * (1.0 / r_p + 1.0 / r_ap) + 0.5 * mz * (1.0 / r_p - 1.0 / r_ap)
+    if g == 0.0:
+        raise ValueError(f"tmr = {p.TMR:g} with r_p = {r_p:g} ohm leaves a "
+                         f"zero junction conductance at m_z = {mz:g}")
     return 1.0 / g
 
 
@@ -120,4 +123,7 @@ def logic_mz_boundary(p: MtjParams, inv: InverterModel) -> float:
     r_ap = mtj_resistance(p, p.t_ox_read, -1.0)
     g_mid = 0.5 * (1.0 / r_p + 1.0 / r_ap)
     g_half = 0.5 * (1.0 / r_p - 1.0 / r_ap)
+    if g_half == 0.0:
+        raise ValueError(f"tmr = {p.TMR:g} leaves a zero conductance swing: "
+                         "the P and AP conductances are equal")
     return (1.0 / r_boundary - g_mid) / g_half

@@ -8,7 +8,8 @@ form Is(L) / Is(0) = 1 / cosh(L / l_sf).
 
 Contributions from multiple input magnets superimpose exactly: the ideal
 sink at the output absorbs the spins, so cross-diffusion between inputs is
-neglected.
+neglected. The grid sums them in `network.GridStepper.currents`, each
+times `ChannelParams.delivery`.
 """
 
 from __future__ import annotations
@@ -50,25 +51,16 @@ class ChannelParams:
         return (1.0 - self.ground_spin_sink) * spin_transmission(self.L, self.l_sf)
 
 
-@dataclass(frozen=True)
-class SynapseContribution:
-    """One input magnet's weighted contribution to a neuron's spin current."""
-
-    weight: float        # template units, signed
-    input_level: int     # -1 / +1, or 0 when the driving transistor is off
-
-    def __post_init__(self):
-        if self.input_level not in (-1, 0, 1):
-            raise ValueError("input_level must be -1, 0 or +1")
-
-
 def spin_transmission(L: float, l_sf: float) -> float:
     """Delivered spin-current fraction Is(L)/Is(0) = 1/cosh(L/l_sf)."""
     if l_sf <= 0:
         raise ValueError("l_sf must be > 0")
     if L < 0:
         raise ValueError("L must be >= 0")
-    return 1.0 / math.cosh(L / l_sf)
+    try:
+        return 1.0 / math.cosh(L / l_sf)
+    except OverflowError:  # cosh past the float range: no spin arrives
+        return 0.0
 
 
 def injected_spin_current(charge_current: float, beta: float) -> float:
@@ -123,15 +115,3 @@ def numeric_transmission(n_points: int, channel: ChannelParams) -> float:
     """Js(L)/Js(0) from the finite-difference solver."""
     _, _, J = solve_drift_diffusion(n_points, channel, 1e-6)
     return J[-1] / J[0]
-
-
-def net_spin_current(contributions, i0: float, channel: ChannelParams) -> float:
-    """Superposed perpendicular spin current delivered to one neuron [A].
-
-    i0 is the injected spin current per unit template weight; the result is
-    mapped onto the torque sign convention (positive drives m_z to +1).
-    """
-    if i0 <= 0:
-        raise ValueError("i0 must be > 0")
-    total_weight = sum(c.weight * c.input_level for c in contributions)
-    return i0 * total_weight * channel.delivery

@@ -14,7 +14,7 @@ import pytest
 
 from spincnn import load_glyph
 from spincnn.analysis import (EnergyParams, Scenario, aggregate, cmos_sweep,
-                              compare, pareto, sweep_voltage)
+                              compare, pareto)
 from spincnn.cli import main
 from spincnn.cmos import (AmplifierModel, ChuaParams, cmos_energy,
                           cmos_noise_filter_templates, integrate)
@@ -24,15 +24,14 @@ from spincnn.core import (MagnetParams, SimConfig, TemplateSet, add_noise,
 from spincnn.dynamics import (GridHeun, analytic_critical_current,
                               critical_spin_current, heun_step, stt_rate,
                               thermal_sigma)
-from spincnn.network import (CellModel, CnnGrid, hebbian_train,
+from spincnn.network import (CellModel, CnnGrid, GridStepper, hebbian_train,
                              noise_filter_templates, run_many)
 from spincnn.readpath import (InverterModel, MtjParams, read_cell,
                               read_current)
 from spincnn.synapse import (DriveModel, SynapseConfig, decode_config,
                              encode_weight, quantize_weight,
                              representable_weights, unit_current)
-from spincnn.transport import (ChannelParams, SynapseContribution,
-                               net_spin_current, numeric_transmission,
+from spincnn.transport import (ChannelParams, numeric_transmission,
                                spin_transmission)
 
 JOBS = min(8, os.cpu_count() or 1)
@@ -167,12 +166,24 @@ def test_criterion_03_spin_transport():
     err_1024 = abs(numeric_transmission(1024, ch) - exact)
     assert err_1024 <= 1e-6
 
-    # superposition linearity to 1e-12
-    contributions = [SynapseContribution(w, lvl)
-                     for w, lvl in [(1.0, 1), (-0.5, 1), (2.0, -1),
-                                    (0.25, 0), (1.5, -1)]]
-    whole = net_spin_current(contributions, 1e-6, ch)
-    parts = sum(net_spin_current([c], 1e-6, ch) for c in contributions)
+    # superposition linearity to 1e-12: the grid's drive under a template
+    # set is the sum of its drives under each single template entry
+    noisy = add_noise(load_glyph("zero"), 0.1, 3)
+    model = CellModel(i0=1e-6)
+
+    def drive(A, B, I):
+        grid = CnnGrid.from_pattern(noisy, noisy, TemplateSet(A, B, I))
+        s = GridStepper([(grid, SimConfig(), model)])
+        return s.currents(s.y)[0]
+
+    A = np.array([[0.25, 1.0, -0.5], [2.0, 1.0, -1.5], [0.0, 0.75, -0.25]])
+    B = np.array([[-1.0, 0.0, 0.5], [0.0, 1.25, 0.0], [-0.75, 0.0, 2.0]])
+    I = 0.5
+    zero = np.zeros((3, 3))
+    whole = drive(A, B, I)
+    parts = drive(zero, zero, I)
+    for tap in np.eye(9).reshape(9, 3, 3):
+        parts = parts + drive(A * tap, zero, 0.0) + drive(zero, B * tap, 0.0)
     assert whole == pytest.approx(parts, rel=1e-12, abs=1e-24)
 
     # O(N^-2) convergence order
@@ -346,22 +357,22 @@ def test_criterion_07_synapse_codec():
 
 
 @pytest.fixture(scope="module")
-def nf_sweep():
+def nf_sweep(sorted_sweep):
     zero = load_glyph("zero")
     s = Scenario("noise-filter", zero, noise_filter_templates(), 0.1)
-    recs = sweep_voltage(s, SWEEP_VOLTAGES, [1], SWEEP_SEEDS, SWEEP_CFG,
-                         CellModel(), DriveModel(), EnergyParams(), jobs=JOBS)
+    recs = sorted_sweep(s, SWEEP_VOLTAGES, [1], SWEEP_SEEDS, SWEEP_CFG,
+                        CellModel(), DriveModel(), EnergyParams(), jobs=JOBS)
     return s, recs
 
 
 @pytest.fixture(scope="module")
-def assoc_sweep():
+def assoc_sweep(sorted_sweep):
     one, two = load_glyph("one"), load_glyph("two")
     three, four = load_glyph("three"), load_glyph("four")
     templates = hebbian_train([(one, two), (three, four)])
     s = Scenario("assoc", one, templates, 4 / 600)
-    recs = sweep_voltage(s, SWEEP_VOLTAGES, [1], SWEEP_SEEDS, SWEEP_CFG,
-                         CellModel(), DriveModel(), EnergyParams(), jobs=JOBS)
+    recs = sorted_sweep(s, SWEEP_VOLTAGES, [1], SWEEP_SEEDS, SWEEP_CFG,
+                        CellModel(), DriveModel(), EnergyParams(), jobs=JOBS)
     return s, recs
 
 

@@ -8,12 +8,12 @@ from spincnn import load_glyph
 from spincnn.analysis import (CSV_HEADER, MAGNET_FOOTPRINT, EnergyBreakdown,
                               EnergyParams, Scenario, ScenarioHardware,
                               SweepRecord, aggregate, cmos_sweep, compare,
-                              pareto, records_to_csv, spin_area, spin_energy,
-                              sweep_voltage)
+                              pareto, records_to_csv, spin_area, spin_energy)
 from spincnn.cmos import FEATURE_SIZE, MIN_WIDTH_F, AmplifierModel
 from spincnn.core import Pattern, SimConfig
 from spincnn.network import (CellModel, Trajectory, hebbian_train,
                              noise_filter_templates)
+from spincnn.readpath import read_current
 from spincnn.synapse import DriveModel
 
 EP = EnergyParams()
@@ -85,6 +85,15 @@ class TestSpinEnergy:
         ref = spin_energy(fake_trajectory(20e-9, 0), DRIVE, MODEL, EP, NF_HW,
                           20e-9)
         assert e.total == pytest.approx(ref.total, rel=1e-12)
+
+    def test_read_power_is_the_read_current_of_an_up_magnet(self):
+        # the read stack of every cell draws V_read * read_current at m_z = 1
+        e = spin_energy(fake_trajectory(3e-9, 0), DRIVE, MODEL, EP, NF_HW,
+                        20e-9)
+        mtj = MODEL.mtj
+        p_cell = mtj.V_read * read_current(mtj, 1.0) \
+            + MODEL.inverter.V_dd * EP.inverter_leakage
+        assert e.leakage == pytest.approx(600 * p_cell * 3e-9, rel=1e-12)
 
     def test_gross_not_net_charging(self):
         # cancellation overhead: programmable synapses burn gross drive
@@ -200,13 +209,13 @@ class TestScenario:
         assert recs[0]["energy"] > 0
 
 
-def test_sweep_records_do_not_depend_on_jobs():
+def test_sweep_records_do_not_depend_on_jobs(sorted_sweep):
     # 12 points: one ensemble, or chunks of 6 or 4 in worker processes;
     # 0.05 V never settles, five points settle at different times
     s = Scenario("nf", load_glyph("zero"), noise_filter_templates(), 0.1)
     cfg = SimConfig(dt=2e-12, t_max=4e-9, hold_time=0.2e-9)
-    runs = [sweep_voltage(s, [1.0, 0.05, 0.52], [1, 4], [0, 1], cfg, MODEL,
-                          DriveModel(), EP, jobs=jobs) for jobs in (1, 2, 3)]
+    runs = [sorted_sweep(s, [1.0, 0.05, 0.52], [1, 4], [0, 1], cfg, MODEL,
+                         DriveModel(), EP, jobs=jobs) for jobs in (1, 2, 3)]
     assert runs[0] == runs[1] == runs[2]
     assert [(r.v_drive, r.size_mult, r.seed) for r in runs[0]] == \
         [(v, size, seed) for v in (0.05, 0.52, 1.0) for size in (1, 4)

@@ -155,6 +155,10 @@ class TestSimulate:
          "line 2: unknown key 'feature_size'"),
         ("[energy]\nmin_width_f = 4\n", "line 2: unknown key 'min_width_f'"),
         ("[magnet]\nms = 1e-300\n", "[magnet] ms: Ms V dt = 0 underflows"),
+        ("[mtj]\ntmr = 1e300\n", "[mtj]: tmr = 1e+300 with r_p = 100000 ohm "
+         "leaves a zero junction conductance at m_z = -1"),
+        ("[mtj]\ntmr = 1e-300\n", "[mtj]: tmr = 1e-300 leaves a zero "
+         "conductance swing"),
     ])
     def test_rejected_config_names_file_and_key(self, tmp_path, capsys,
                                                 text, named):
@@ -445,3 +449,15 @@ def test_extreme_values_of_every_key_end_cleanly(tmp_path, capsys, section,
                 [str(w.message) for w in caught]
             assert rc in (0, 2) or (rc == 1 and len(err) == 1), \
                 (value, argv[:2], rc, err)
+
+
+def test_channel_beyond_the_float_range_simulates(tmp_path, capsys):
+    # cosh(L / l_sf) overflows: no spin reaches a neuron, and the run goes
+    # on without a drive instead of failing
+    pattern = tmp_path / "p.pat"
+    pattern.write_text("#..#\n.##.\n.##.\n#..#\n")
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(SHORT_RUN + "[channel]\nl_sf = 1e-300\n")
+    rc = main(["simulate", "--pattern", str(pattern), "--out",
+               str(tmp_path / "o"), "--config", str(cfg)])
+    assert rc in (0, 2), capsys.readouterr().err

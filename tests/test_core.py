@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spincnn import GLYPHS, load_glyph
-from spincnn.constants import GAMMA, HBAR, KB, MU0, MU_B, Q
+from spincnn.constants import GAMMA, KB, MU0, MU_B, Q
 from spincnn.core import (MagnetParams, Pattern, SimConfig, TemplateSet,
                           add_noise, frame_to_pgm, load_pattern, make_rng,
                           save_pattern, settle)
@@ -17,7 +17,7 @@ from spincnn.core import (MagnetParams, Pattern, SimConfig, TemplateSet,
 def test_constants_positive_codata():
     assert Q == 1.602176634e-19
     assert KB == 1.380649e-23
-    for c in (Q, HBAR, MU0, KB, GAMMA, MU_B):
+    for c in (Q, MU0, KB, GAMMA, MU_B):
         assert c > 0
 
 

@@ -1,9 +1,11 @@
 """Spintronic CNN engine: current assembly, synchronous stepping,
 convergence detection, Hebbian training and template file I/O."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from spincnn import load_glyph
@@ -18,6 +20,7 @@ from spincnn.network import (BOUNDARY_MINUS_ONE, BOUNDARY_ZERO_FLUX,
                              run_many, save_templates)
 from spincnn.readpath import InverterModel
 from spincnn.synapse import LEVELS_PER_UNIT_WEIGHT, representable_weights
+from spincnn.transport import ChannelParams, spin_transmission
 
 IC = analytic_critical_current(MagnetParams())
 MODEL = CellModel(i0=10 * IC)
@@ -45,43 +48,82 @@ class TestTemplates:
         assert np.array_equal(quantize_templates(np.asarray(t.A)), t.A)
 
 
-def stepper_currents(grid, model=MODEL):
-    """Net spin currents of a one-member `GridStepper` at the grid's state."""
-    s = GridStepper([(grid, SimConfig(), model)])
-    return s.currents(model.logic(s.mz))[0]
+def centre_drive(A, levels, model=MODEL):
+    """Net spin current into the centre of a 3x3 grid whose logic outputs
+    are `levels` (row-major), under the feedback template A alone."""
+    p = Pattern.from_array(np.reshape(levels, (3, 3)))
+    t = TemplateSet(A, np.zeros((3, 3)), 0.0)
+    return net_currents(CnnGrid.from_pattern(p, p, t), model)[1, 1]
+
+
+def single_tap(k, weight):
+    A = np.zeros(9)
+    A[k] = weight
+    return A.reshape(3, 3)
 
 
 class TestNetCurrents:
     def test_uniform_up_interior_cell(self):
         g = grid_of(solid(5, 5))
-        Is = stepper_currents(g)
+        Is = net_currents(g, MODEL)
         assert Is[2, 2] == pytest.approx(5 * MODEL.i0 * DELIVERY, rel=1e-12)
 
     def test_uniform_up_edges_with_white_surround(self):
         g = grid_of(solid(5, 5))
-        Is = stepper_currents(g)
+        Is = net_currents(g, MODEL)
         # edge: 3 real +1 neighbors, 1 virtual -1, self +1
         assert Is[0, 2] == pytest.approx(3 * MODEL.i0 * DELIVERY, rel=1e-12)
         # corner: 2 real, 2 virtual
         assert Is[0, 0] == pytest.approx(1 * MODEL.i0 * DELIVERY, rel=1e-12)
 
     def test_zero_flux_boundary_restores_symmetry(self):
-        from dataclasses import replace
         model = replace(MODEL, boundary=BOUNDARY_ZERO_FLUX)
-        Is = stepper_currents(grid_of(solid(5, 5)), model)
+        Is = net_currents(grid_of(solid(5, 5)), model)
         assert np.allclose(Is, 5 * MODEL.i0 * DELIVERY)
 
     def test_minority_pixel_currents(self):
         arr = np.ones((5, 5), dtype=int)
         arr[2, 2] = -1
         g = grid_of(Pattern.from_array(arr))
-        Is = stepper_currents(g)
+        Is = net_currents(g, MODEL)
         # minority cell: 4 neighbors +1, self -1 => +3 units toward +z
         assert Is[2, 2] == pytest.approx(3 * MODEL.i0 * DELIVERY, rel=1e-12)
         # its neighbor: 3 agreeing neighbors + self - minority = +3 units
         assert Is[2, 1] == pytest.approx(3 * MODEL.i0 * DELIVERY, rel=1e-12)
         # all currents positive: every cell is driven toward black
         assert np.all(Is > 0)
+
+    def test_delivery_is_the_one_channel_factor(self):
+        ch = ChannelParams(ground_spin_sink=0.25)
+        assert ch.delivery == 0.75 * spin_transmission(ch.L, ch.l_sf)
+        levels = [1] * 9
+        levels[4] = -1
+        assert centre_drive(single_tap(4, 2.0), levels,
+                            replace(MODEL, channel=ch)) \
+            == MODEL.i0 * -2.0 * ch.delivery
+
+    def test_ground_sink_fraction(self):
+        sunk = replace(MODEL, channel=ChannelParams(ground_spin_sink=0.25))
+        a = centre_drive(single_tap(4, 1.0), [1] * 9, sunk)
+        b = centre_drive(single_tap(4, 1.0), [1] * 9)
+        assert a == pytest.approx(0.75 * b, rel=1e-12)
+
+    @given(st.lists(st.tuples(st.floats(-2, 2), st.sampled_from((-1, 1))),
+                    min_size=1, max_size=9))
+    @example(raw=[(1.0, 1), (1.0000000002, -1)])
+    @settings(max_examples=60, deadline=None)
+    def test_superposition(self, raw):
+        weights = [w for w, _ in raw] + [0.0] * (9 - len(raw))
+        levels = [lvl for _, lvl in raw] + [1] * (9 - len(raw))
+        whole = centre_drive(np.reshape(weights, (3, 3)), levels)
+        parts = [centre_drive(single_tap(k, w), levels)
+                 for k, w in enumerate(weights[:len(raw)])]
+        # each part is rounded at its own ulp before the parts cancel, so
+        # the sum of parts is exact only to a few eps of sum(|part|), and
+        # subnormal parts keep no relative precision at all
+        eps, tiny = np.finfo(float).eps, np.finfo(float).tiny
+        slack = 8 * eps * sum(abs(p) for p in parts) + tiny
+        assert whole == pytest.approx(sum(parts), rel=1e-12, abs=slack)
 
 
 def steps(grid, cfg, model, n):
@@ -114,7 +156,6 @@ class TestStep:
     def test_reflection_symmetry_zero_temperature(self):
         # rotating every magnet by pi about x (mz, my negated) and negating
         # the inputs gives the exactly mirrored trajectory at T = 0
-        from dataclasses import replace
         model = replace(MODEL, boundary=BOUNDARY_ZERO_FLUX)
         cfg = SimConfig(temperature=0.0)
         rng = np.random.default_rng(3)
@@ -151,7 +192,6 @@ class TestRun:
         assert traj.convergence_time <= 2e-9
 
     def test_subcritical_zero_temperature_reports_nonconvergence(self):
-        from dataclasses import replace
         noisy = add_noise(load_glyph("zero"), 0.1, 0)
         model = replace(MODEL, i0=0.5 * IC)
         cfg = SimConfig(t_max=2e-9, temperature=0.0)
@@ -339,7 +379,6 @@ def reference_run(grid, cfg, model):
 @pytest.mark.parametrize("temperature", [300.0, 0.0])
 @pytest.mark.parametrize("app", ["cross", "hebbian"])
 def test_run_is_bit_identical_to_reference_loop(boundary, temperature, app):
-    from dataclasses import replace
     rng = np.random.default_rng(5)
     cue = Pattern.from_array(rng.choice([-1, 1], size=(6, 5)))
     if app == "cross":
@@ -370,7 +409,6 @@ def test_ensemble_members_are_bit_identical_to_reference_loop(boundary,
                                                               temperature):
     # cross and Hebbian members, tilted and pole starts, their own seeds
     # and i0; one member is driven sub-critically and never settles
-    from dataclasses import replace
     rng = np.random.default_rng(8)
     cue = random_pattern(rng, (6, 5))
     hebbian = hebbian_train([(cue, random_pattern(rng, (6, 5))),
@@ -418,7 +456,6 @@ def test_members_match_reference_loop_off_zero_logic_boundary(v_th,
     # the stepper certifies a step without reading the outputs when every
     # y m_z clears |b|, and then settles from that certificate; a boundary
     # inside mz_threshold and one outside it are held to the plain loop
-    from dataclasses import replace
     cfg = SimConfig(temperature=temperature, t_max=1.2e-9, hold_time=0.1e-9,
                     dt=2e-12)
     model = replace(MODEL, inverter=InverterModel(V_th=v_th))
@@ -453,7 +490,6 @@ def test_members_match_reference_loop_off_zero_logic_boundary(v_th,
 
 
 def test_ensemble_members_must_share_all_but_seed_and_i0():
-    from dataclasses import replace
     grid = grid_of(solid(3, 3))
     base = (grid, SimConfig(), MODEL)
     for other, match in [
@@ -512,7 +548,6 @@ def random_pattern(rng, shape):
 @pytest.mark.parametrize("app", ["cross", "hebbian"])
 def test_operator_drive_equals_slice_loop(shape, boundary, app):
     # weights are multiples of 1/4 and y, u = +-1, so equality is exact
-    from dataclasses import replace
     rng = np.random.default_rng(17)
     u = random_pattern(rng, shape)
     if app == "cross":

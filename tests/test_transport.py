@@ -1,15 +1,13 @@
-"""Spin drift-diffusion transport: closed form vs finite-difference BVP,
-superposition, and the delivered-current bookkeeping."""
+"""Spin drift-diffusion transport: closed form vs finite-difference BVP
+and spin injection. The superposed drive of a neuron is tested where the
+grid sums it, in test_network.py."""
 
 import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
-from hypothesis import strategies as st
 
-from spincnn.transport import (ChannelParams, SynapseContribution,
-                               injected_spin_current, net_spin_current,
+from spincnn.transport import (ChannelParams, injected_spin_current,
                                numeric_transmission, solve_drift_diffusion,
                                spin_transmission)
 
@@ -34,6 +32,11 @@ class TestClosedForm:
         assert t[0] > t[1] > t[2]
         s = [spin_transmission(100e-9, l) for l in (200e-9, 420e-9, 800e-9)]
         assert s[0] < s[1] < s[2]
+
+    def test_beyond_the_float_range_no_spin_arrives(self):
+        # cosh(L / l_sf) overflows: 1 / cosh has the limit 0
+        assert spin_transmission(1.0, 1e-300) == 0.0
+        assert ChannelParams(l_sf=1e-300).delivery == 0.0
 
     def test_bad_arguments(self):
         with pytest.raises(ValueError):
@@ -89,56 +92,6 @@ class TestInjection:
     def test_beta_domain(self):
         with pytest.raises(ValueError):
             injected_spin_current(1e-6, 0.0)
-
-
-class TestNetSpinCurrent:
-    def test_cross_template_all_up(self):
-        contributions = [SynapseContribution(1.0, 1) for _ in range(5)]
-        expected = 5.0 * 1e-6 * spin_transmission(CH.L, CH.l_sf)
-        assert net_spin_current(contributions, 1e-6, CH) == pytest.approx(
-            expected, rel=1e-12)
-
-    def test_minority_center(self):
-        contributions = [SynapseContribution(1.0, 1)] * 4 \
-            + [SynapseContribution(1.0, -1)]
-        expected = 3.0 * 1e-6 * spin_transmission(CH.L, CH.l_sf)
-        assert net_spin_current(contributions, 1e-6, CH) == pytest.approx(
-            expected, rel=1e-12)
-
-    def test_all_off(self):
-        contributions = [SynapseContribution(1.0, 0)] * 5
-        assert net_spin_current(contributions, 1e-6, CH) == 0.0
-
-    def test_delivery_is_the_one_channel_factor(self):
-        ch = ChannelParams(ground_spin_sink=0.25)
-        assert ch.delivery == 0.75 * spin_transmission(ch.L, ch.l_sf)
-        assert net_spin_current([SynapseContribution(2.0, -1)], 1e-6, ch) \
-            == 1e-6 * -2.0 * ch.delivery
-
-    def test_ground_sink_fraction(self):
-        ch = ChannelParams(ground_spin_sink=0.25)
-        a = net_spin_current([SynapseContribution(1.0, 1)], 1e-6, ch)
-        b = net_spin_current([SynapseContribution(1.0, 1)], 1e-6, CH)
-        assert a == pytest.approx(0.75 * b, rel=1e-12)
-
-    @given(st.lists(st.tuples(st.floats(-2, 2), st.sampled_from((-1, 0, 1))),
-                    min_size=1, max_size=9))
-    @example(raw=[(1.0, 1), (1.0000000002, -1)])
-    @settings(max_examples=60, deadline=None)
-    def test_superposition(self, raw):
-        contributions = [SynapseContribution(w, lvl) for w, lvl in raw]
-        whole = net_spin_current(contributions, 1e-6, CH)
-        parts = [net_spin_current([c], 1e-6, CH) for c in contributions]
-        # each part is rounded at its own ulp before the parts cancel, so
-        # the sum of parts is exact only to a few eps of sum(|part|), and
-        # subnormal parts keep no relative precision at all
-        eps, tiny = np.finfo(float).eps, np.finfo(float).tiny
-        slack = 8 * eps * sum(abs(p) for p in parts) + tiny
-        assert whole == pytest.approx(sum(parts), rel=1e-12, abs=slack)
-
-    def test_i0_must_be_positive(self):
-        with pytest.raises(ValueError):
-            net_spin_current([SynapseContribution(1.0, 1)], 0.0, CH)
 
 
 def test_channel_params_validation():

@@ -1,12 +1,15 @@
-"""Spin drift-diffusion transport: closed form vs finite-difference BVP
-and spin injection. The superposed drive of a neuron is tested where the
-grid sums it, in test_network.py."""
+"""Spin drift-diffusion transport: closed form vs finite-difference BVP,
+spin injection, and the delivered current a cross template sums into a
+neuron. The rest of the grid's drive is tested in test_network.py."""
 
 import math
 
 import numpy as np
 import pytest
 
+from spincnn.core import Pattern
+from spincnn.network import CellModel, CnnGrid, net_currents, \
+    noise_filter_templates
 from spincnn.transport import (ChannelParams, injected_spin_current,
                                numeric_transmission, solve_drift_diffusion,
                                spin_transmission)
@@ -92,6 +95,26 @@ class TestInjection:
     def test_beta_domain(self):
         with pytest.raises(ValueError):
             injected_spin_current(1e-6, 0.0)
+
+
+def centre_current(levels, i0=1e-6, ch=CH):
+    """Net spin current into the centre of a 3x3 grid whose logic outputs
+    are `levels` (row-major), under the cross-shaped noise-filter A."""
+    p = Pattern.from_array(np.reshape(levels, (3, 3)))
+    grid = CnnGrid.from_pattern(p, p, noise_filter_templates())
+    return net_currents(grid, CellModel(i0=i0, channel=ch))[1, 1]
+
+
+class TestNetSpinCurrent:
+    def test_cross_template_all_up(self):
+        expected = 5.0 * 1e-6 * spin_transmission(CH.L, CH.l_sf)
+        assert centre_current([1] * 9) == pytest.approx(expected, rel=1e-12)
+
+    def test_minority_center(self):
+        levels = [1] * 9
+        levels[4] = -1
+        expected = 3.0 * 1e-6 * spin_transmission(CH.L, CH.l_sf)
+        assert centre_current(levels) == pytest.approx(expected, rel=1e-12)
 
 
 def test_channel_params_validation():

@@ -21,7 +21,10 @@ grid. Bit-identity contract: every member's trajectory equals, bit for
 bit, the plain loop of `dynamics.heun_step` on its own (rows, cols, 3)
 layout, with one make_rng(seed, STREAM_LLG, n) draw per step n and the
 drive rebuilt from the logic outputs after every step, whatever the
-other members of its ensemble.
+other members of its ensemble. That draw depends on the seed and n alone,
+so the stepper keeps one Philox generator per distinct seed, and the
+running members on one seed share each step's sample: it is drawn once
+and copied to the others.
 """
 
 from __future__ import annotations
@@ -131,8 +134,6 @@ class _Member:
     W: sparse.csr_array
     c: np.ndarray
     initial: Pattern
-    rng: np.random.Generator
-    rng_state: dict
     times: list = field(default_factory=list)
     frames: list = field(default_factory=list)
 
@@ -148,11 +149,16 @@ class GridStepper:
     (5, members, rows, cols) (`mz` is a live view of m_z). The drive of
     every member is W @ y + c from its own `core.template_operator`,
     stacked block-diagonally, times its own i0. The thermal sigma is shared
-    (the dt guard is checked once). Each member has one Philox generator
-    keyed by (seed, STREAM_LLG): step n, counted from 0, resets its counter
-    to n before the draw, which gives the bits of make_rng(seed,
-    STREAM_LLG, n), straight into the member's slice of the kernel's
-    (members, rows, cols, 3) `noise` buffer. `y` and `Is` hold the logic
+    (the dt guard is checked once). There is one Philox generator per
+    distinct seed, keyed by (seed, STREAM_LLG): step n, counted from 0,
+    resets its counter to n before the draw, which gives the bits of
+    make_rng(seed, STREAM_LLG, n). Members on one seed share each step's
+    sample: `draws` holds one entry per distinct running seed, which draws
+    straight into the slice of the first running member on that seed in
+    the kernel's (members, rows, cols, 3) `noise` buffer, and `copies`
+    names the slices that then take a copy of it. Both are rebuilt at
+    each compaction, so a draw passes to a member still running when the
+    member that drew it stops. `y` and `Is` hold the logic
     outputs and the drive they give, and each drive rebuild writes its
     torque into the kernel's `torque` buffer; `step` rebuilds the drive
     only when some output flips.
@@ -188,12 +194,14 @@ class GridStepper:
                                       model.magnet, cfg.dt)
         self.step_index = 0
         self.running = []
+        self.rngs = {}            # seed -> (Philox generator, its state)
         for k, (g, c, m) in enumerate(members):
-            rng = make_rng(c.seed, STREAM_LLG)
+            if c.seed not in self.rngs:
+                rng = make_rng(c.seed, STREAM_LLG)
+                self.rngs[c.seed] = rng, rng.bit_generator.state
             W, c0 = template_operator(g.templates, g.u, model.boundary)
             self.running.append(_Member(k, c.seed, m.i0, W, c0,
-                                        g.logic_pattern(model), rng,
-                                        rng.bit_generator.state))
+                                        g.logic_pattern(model)))
         self.trajectories: list[Trajectory | None] = [None] * len(members)
         self._bind()
         self.y = self.model.logic(self.mz)
@@ -207,8 +215,14 @@ class GridStepper:
             sparse.block_diag([m.W for m in run], format="csr")
         self.c = np.concatenate([m.c for m in run])
         self.i0 = np.array([m.i0 for m in run]).reshape(-1, 1, 1)
-        self.draws = [(m.rng, m.rng_state, out)
-                      for m, out in zip(run, self.heun.noise)]
+        first = {}                # seed -> first running member on it
+        for i, m in enumerate(run):
+            first.setdefault(m.seed, i)
+        noise = self.heun.noise
+        self.draws = [(*self.rngs[seed], noise[i])
+                      for seed, i in first.items()]
+        self.copies = [(noise[i], noise[first[m.seed]])
+                       for i, m in enumerate(run) if first[m.seed] != i]
         self.ymz = np.empty(self.mz.shape)
         self.certified = False
 
@@ -228,13 +242,15 @@ class GridStepper:
 
     def advance(self) -> None:
         """One synchronous LLG step of every magnet under the kernel's
-        torque: each member draws its sample into its slice of
-        `heun.noise`."""
+        torque: each distinct seed draws its sample once into
+        `heun.noise`, and the other members on that seed copy it."""
         if self.sigma:
             for rng, state, out in self.draws:
                 state["state"]["counter"][3] = self.step_index
                 rng.bit_generator.state = state
                 rng.standard_normal(out=out)
+            for out, drawn in self.copies:
+                np.copyto(out, drawn)
             self.heun.noise *= self.sigma
         self.heun.step()
         self.step_index += 1

@@ -86,11 +86,24 @@ def solve_drift_diffusion(n_points: int, channel: ChannelParams,
     h = L / (n - 1)
     if not h > 0:
         raise ValueError(f"channel length L = {L:g} m leaves no grid spacing")
+    h2, l2 = h * h, l * l
+    if not math.isfinite(h2):
+        raise ValueError(f"channel length L = {L:g} m is too long for the "
+                         f"{n}-point drift-diffusion grid: the squared grid "
+                         "spacing overflows")
+    if not l2 > 0:
+        raise ValueError(f"channel l_sf = {l:g} m is too short for the "
+                         f"{n}-point drift-diffusion grid: l_sf^2 underflows "
+                         "to 0")
+    c = h2 / l2
+    if not math.isfinite(c):
+        raise ValueError(f"channel length L = {L:g} m over l_sf = {l:g} m "
+                         f"is out of range for the {n}-point drift-diffusion "
+                         "grid: (spacing / l_sf)^2 overflows")
     x = np.linspace(0.0, L, n)
     # unknowns mu_0 .. mu_{n-2}; mu_{n-1} = 0 (ideal sink)
     ab = np.zeros((3, n - 1))
     rhs = np.zeros(n - 1)
-    c = h * h / (l * l)
     # Neumann BC at x = 0 via ghost node: mu_{-1} = mu_1 + 2 h mu'(0),
     # with (sigma A / e) mu'(0) = -I_inj (current flows toward the sink at
     # +x for positive injection).

@@ -7,8 +7,9 @@ import pytest
 from spincnn import load_glyph
 from spincnn.analysis import (CSV_HEADER, MAGNET_FOOTPRINT, EnergyBreakdown,
                               EnergyParams, Scenario, ScenarioHardware,
-                              SweepRecord, aggregate, cmos_sweep, compare,
-                              pareto, records_to_csv, spin_area, spin_energy)
+                              SweepRecord, _sweep_chunk, aggregate,
+                              cmos_sweep, compare, pareto, records_to_csv,
+                              spin_area, spin_energy)
 from spincnn.cmos import FEATURE_SIZE, MIN_WIDTH_F, AmplifierModel
 from spincnn.core import Pattern, SimConfig
 from spincnn.network import (CellModel, Trajectory, hebbian_train,
@@ -222,6 +223,23 @@ def test_sweep_records_do_not_depend_on_jobs(sorted_sweep):
          for seed in (0, 1)]
     assert not any(r.converged for r in runs[0][:4])
     assert len({r.delay for r in runs[0] if r.converged}) >= 4
+
+
+def test_points_on_one_seed_match_their_runs_alone(sorted_sweep):
+    # one ensemble of 6 points, 3 on each seed, which share a thermal draw
+    # per step; 0.05 V never settles, so the draw of a seed passes to it
+    # when the points at the other voltages stop
+    s = Scenario("nf", load_glyph("zero"), noise_filter_templates(), 0.1)
+    cfg = SimConfig(dt=2e-12, t_max=3e-9, hold_time=0.2e-9)
+    records = sorted_sweep(s, [1.0, 0.05, 0.52], [4], [0, 1], cfg, MODEL,
+                           DriveModel(), EP)
+    assert len(records) == 6
+    assert [r.converged for r in records] == [False] * 2 + [True] * 4
+    assert len({r.delay for r in records}) == 5
+    for r in records:
+        point = (r.v_drive, r.size_mult, r.seed)
+        alone = _sweep_chunk((s, [point], cfg, MODEL, DriveModel(), EP))
+        assert [vars(a) for a in alone] == [vars(r)]
 
 
 def test_csv_header_and_formatting():

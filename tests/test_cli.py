@@ -348,6 +348,22 @@ class TestOracle:
         assert "0.97230" in out
         assert "agreement: yes" in out
 
+    @pytest.mark.parametrize("text, named", [
+        ("l_sf = 1e-300", "error: channel l_sf = 1e-300 m is too short for "
+         "the 1024-point drift-diffusion grid: l_sf^2 underflows to 0"),
+        ("length = 1e300", "error: channel length L = 1e+300 m is too long "
+         "for the 1024-point drift-diffusion grid: the squared grid spacing "
+         "overflows"),
+    ], ids=["l_sf", "length"])
+    def test_transmission_beyond_the_grid_names_the_key(self, tmp_path,
+                                                        capsys, text, named):
+        # the closed form has a limit there, but the finite-difference
+        # solve cannot represent its coefficients
+        cfg = tmp_path / "ch.cfg"
+        cfg.write_text(f"[channel]\n{text}\n")
+        assert main(["oracle", "transmission", "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err.splitlines() == [named]
+
     def test_read_curve_csv_and_monotonicity(self, capsys):
         assert main(["oracle", "read-curve"]) == 0
         out = capsys.readouterr().out

@@ -403,6 +403,16 @@ def test_run_is_bit_identical_to_reference_loop(boundary, temperature, app):
     assert traj.final_pattern == final
 
 
+def tilted_member(rng, cfg, model, templates, start, tilt):
+    """A (grid, cfg, model) member whose inputs are `start` and whose
+    magnets start at its poles, tilted by normal noise of scale `tilt`."""
+    m = np.zeros((start.rows, start.cols, 3))
+    m[:, :, 2] = start.to_array()
+    m += rng.normal(scale=tilt, size=m.shape)
+    m /= np.linalg.norm(m, axis=-1, keepdims=True)
+    return CnnGrid(m, start.to_array().astype(float), templates), cfg, model
+
+
 @pytest.mark.parametrize("boundary", ["minus-one", BOUNDARY_ZERO_FLUX])
 @pytest.mark.parametrize("temperature", [300.0, 0.0])
 def test_ensemble_members_are_bit_identical_to_reference_loop(boundary,
@@ -415,21 +425,16 @@ def test_ensemble_members_are_bit_identical_to_reference_loop(boundary,
                              (random_pattern(rng, (6, 5)), cue)])
     cfg = SimConfig(temperature=temperature, t_max=1.2e-9, hold_time=0.1e-9,
                     dt=2e-12)
-    members = []
-    for seed, templates, i0_over_ic, tilt in [
-            (3, noise_filter_templates(), 10, 0.3),
-            (4, hebbian, 10, 0.3),
-            (5, noise_filter_templates(), 0.1, 0.3),
-            (6, noise_filter_templates(), 30, 0.0),
-            (7, hebbian, 20, 0.2)]:
-        start = random_pattern(rng, (6, 5))
-        m = np.zeros((6, 5, 3))
-        m[:, :, 2] = start.to_array()
-        m += rng.normal(scale=tilt, size=m.shape)
-        m /= np.linalg.norm(m, axis=-1, keepdims=True)
-        members.append((CnnGrid(m, start.to_array().astype(float), templates),
-                        replace(cfg, seed=seed),
-                        replace(MODEL, i0=i0_over_ic * IC, boundary=boundary)))
+    model = replace(MODEL, boundary=boundary)
+    members = [tilted_member(rng, replace(cfg, seed=seed),
+                             replace(model, i0=i0_over_ic * IC), templates,
+                             random_pattern(rng, (6, 5)), tilt)
+               for seed, templates, i0_over_ic, tilt in [
+                   (3, noise_filter_templates(), 10, 0.3),
+                   (4, hebbian, 10, 0.3),
+                   (5, noise_filter_templates(), 0.1, 0.3),
+                   (6, noise_filter_templates(), 30, 0.0),
+                   (7, hebbian, 20, 0.2)]]
     trajs = run_many(members)
     conv = [t.convergence_time for t in trajs]
     assert conv[2] is None
@@ -465,22 +470,68 @@ def test_members_match_reference_loop_off_zero_logic_boundary(v_th,
     cue = random_pattern(rng, (6, 5))
     hebbian = hebbian_train([(cue, random_pattern(rng, (6, 5))),
                              (random_pattern(rng, (6, 5)), cue)])
-    members = []
-    for seed, templates, i0_over_ic, tilt in [
-            (3, noise_filter_templates(), 10, 0.3),
-            (4, hebbian, 10, 0.2),
-            (6, noise_filter_templates(), 30, 0.0),
-            (7, hebbian, 20, 0.0)]:
-        start = random_pattern(rng, (6, 5))
-        m = np.zeros((6, 5, 3))
-        m[:, :, 2] = start.to_array()
-        m += rng.normal(scale=tilt, size=m.shape)
-        m /= np.linalg.norm(m, axis=-1, keepdims=True)
-        members.append((CnnGrid(m, start.to_array().astype(float), templates),
-                        replace(cfg, seed=seed),
-                        replace(model, i0=i0_over_ic * IC)))
+    members = [tilted_member(rng, replace(cfg, seed=seed),
+                             replace(model, i0=i0_over_ic * IC), templates,
+                             random_pattern(rng, (6, 5)), tilt)
+               for seed, templates, i0_over_ic, tilt in [
+                   (3, noise_filter_templates(), 10, 0.3),
+                   (4, hebbian, 10, 0.2),
+                   (6, noise_filter_templates(), 30, 0.0),
+                   (7, hebbian, 20, 0.0)]]
     trajs = run_many(members)
     assert any(t.converged for t in trajs)
+    for member, traj in zip(members, trajs):
+        times, frames, conv_time, final = reference_run(*member)
+        assert np.array_equal(traj.times, times)
+        assert np.array_equal(traj.mz, frames)
+        assert traj.convergence_time == conv_time
+        assert traj.final_pattern == final
+
+
+@pytest.mark.parametrize("temperature", [300.0, 0.0])
+@pytest.mark.parametrize("order", ["listed", "reversed"])
+def test_members_on_one_seed_share_one_draw(temperature, order, monkeypatch):
+    # three members on seed 3 and two on seed 5, each with its own i0,
+    # start and templates; the sub-critical one on seed 3 never settles.
+    # Listed, the first member on each seed stops before another member on
+    # it, so its draw passes on; the solid start settles first of all
+    rng = np.random.default_rng(24)
+    cue = random_pattern(rng, (6, 5))
+    hebbian = hebbian_train([(cue, random_pattern(rng, (6, 5))),
+                             (random_pattern(rng, (6, 5)), cue)])
+    cfg = SimConfig(temperature=temperature, t_max=1.2e-9, hold_time=0.1e-9,
+                    dt=2e-12)
+    members = [tilted_member(rng, replace(cfg, seed=seed),
+                             replace(MODEL, i0=i0_over_ic * IC), templates,
+                             random_pattern(rng, (6, 5)) if start is None
+                             else start, tilt)
+               for seed, templates, i0_over_ic, tilt, start in [
+                   (3, noise_filter_templates(), 30, 0.05, solid(6, 5)),
+                   (5, hebbian, 10, 0.3, None),
+                   (3, noise_filter_templates(), 0.1, 0.3, None),
+                   (5, noise_filter_templates(), 20, 0.2, None),
+                   (3, hebbian, 10, 0.3, None)]]
+    if order == "reversed":
+        members = members[::-1]
+    bindings = []   # (draws, distinct running seeds, running members)
+    bind = GridStepper._bind
+
+    def counting_bind(self):
+        bind(self)
+        bindings.append((len(self.draws),
+                         len({m.seed for m in self.running}),
+                         len(self.running)))
+
+    monkeypatch.setattr(GridStepper, "_bind", counting_bind)
+    trajs = run_many(members)
+    conv = [t.convergence_time for t in trajs]
+    solid_start = 0 if order == "listed" else 4
+    assert all(c is None or c > conv[solid_start]
+               for k, c in enumerate(conv) if k != solid_start)
+    assert conv[2] is None and len(bindings) >= 4
+    assert [draws for draws, _, _ in bindings] == \
+        [seeds for _, seeds, _ in bindings]
+    assert any(running > seeds for _, seeds, running in bindings)
     for member, traj in zip(members, trajs):
         times, frames, conv_time, final = reference_run(*member)
         assert np.array_equal(traj.times, times)

@@ -175,7 +175,7 @@ def _sweep_chunk(chunk) -> list[SweepRecord]:
         d = dc_replace(drive, V_drive=v, size_multiplier=size)
         # (beta I_unit) size; beta (size I_unit), as from `drive_current`,
         # differs in the last bit at beta = 0.3 and size 3 or 5
-        i0 = injected_spin_current(unit_current(d), base_model.channel.beta) \
+        i0 = injected_spin_current(unit_current(d), base_model.channel) \
             * size
         noisy = add_noise(s.clean, s.noise_fraction, seed)
         grid = CnnGrid.from_pattern(noisy, noisy, s.templates)

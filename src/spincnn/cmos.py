@@ -67,8 +67,9 @@ class AmplifierModel:
     p_leak: float = 0.0           # scale-independent static power per cell [W]
 
     def __post_init__(self):
-        if self.delay_floor <= 0 or self.delay_0 <= 0:
-            raise ValueError("delays must be > 0")
+        for name in ("delay_0", "delay_floor"):
+            if getattr(self, name) <= 0:
+                raise ValueError(f"{name} must be > 0")
 
 
 def f_output(x):

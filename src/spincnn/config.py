@@ -30,13 +30,10 @@ class DriveConfig:
     """Synapse drive settings beyond the transistor model itself."""
 
     i0_over_ic: float = 10.0   # demo unit-weight current in critical currents
-    i0: float | None = None    # absolute override [A]; wins when set
 
     def __post_init__(self):
         if not self.i0_over_ic > 0:
             raise ValueError("i0_over_ic must be > 0")
-        if self.i0 is not None and not self.i0 > 0:
-            raise ValueError("i0 must be > 0")
 
 
 @dataclass(frozen=True)
@@ -90,8 +87,8 @@ def _boundary(s: str) -> str:
 # sets the drive voltage and the driver size of every point, so no key does.
 _RENAMED = {("channel", "L"): "length", ("drive_model", "iv_table"): "iv"}
 _SWEPT = {("drive_model", "V_drive"), ("drive_model", "size_multiplier")}
-# converter by the type of the field's default; i0's default is None
-_CONVERTERS = {float: _float, int: _int, tuple: _iv_table, type(None): _float}
+# converter by the type of the field's default
+_CONVERTERS = {float: _float, int: _int, tuple: _iv_table}
 
 
 def _section_schema(section: str, part) -> dict:
@@ -151,10 +148,14 @@ def parse_config(text: str) -> FullConfig:
         raise ConfigError(f"[mtj]: {exc}") from exc
     if not -1.0 < b < 1.0:
         raise ConfigError(f"[inverter] v_th: logic boundary at m_z = {b:.4g} "
-                          "with this [mtj] read stack, outside (-1, 1)")
+                          f"with [mtj] v_read = {cfg.mtj.V_read:g} V and this "
+                          "read stack, outside (-1, 1)")
     # the thermal field divides by Ms V dt, and the anisotropy field by Ms
-    ms_v_dt = cfg.magnet.Ms * cfg.magnet.volume * cfg.sim.dt
+    magnet = cfg.magnet
+    ms_v_dt = magnet.Ms * magnet.volume * cfg.sim.dt
     if not ms_v_dt >= sys.float_info.min:
-        raise ConfigError(f"[magnet] ms: Ms V dt = {ms_v_dt:.3g} underflows "
-                          f"(Ms = {cfg.magnet.Ms:g} A/m)")
+        raise ConfigError(f"[magnet] ms, length, width, thickness and [sim] "
+                          f"dt: Ms V dt = {ms_v_dt:.3g} underflows (Ms = "
+                          f"{magnet.Ms:g} A/m, V = {magnet.volume:.3g} m^3, "
+                          f"dt = {cfg.sim.dt:g} s)")
     return cfg

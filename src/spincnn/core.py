@@ -22,6 +22,8 @@ STREAM_PATTERN_NOISE = 1
 STREAM_LLG = 2
 STREAM_SWITCH = 3
 
+MAX_DT = 10e-12  # step-size stability guard of the LLG integrators [s]
+
 
 def make_rng(seed: int, stream: int, step: int = 0) -> np.random.Generator:
     """Counter-based generator for a named (seed, stream, step) triple."""
@@ -249,6 +251,8 @@ class SimConfig:
     def __post_init__(self):
         if self.dt <= 0:
             raise ValueError("dt must be > 0")
+        if self.dt > MAX_DT:
+            raise ValueError(f"dt = {self.dt} exceeds stability guard {MAX_DT}")
         if self.t_max < self.dt:
             raise ValueError("t_max must be >= dt")
         if self.temperature < 0:

@@ -39,26 +39,24 @@ import math
 import numpy as np
 
 from .constants import GAMMA, KB, MU0, Q
-from .core import MagnetParams, SimConfig, make_rng, STREAM_SWITCH
+from .core import MAX_DT, MagnetParams, SimConfig, make_rng, STREAM_SWITCH
 
-MAX_DT = 10e-12  # step-size stability guard [s]
 SWITCH_BLOCK = 256  # thermal samples drawn per switch_times member at a time
 T0_TILT_DEG = 1.0  # start of the T = 0 probes off +z, a fixed point [deg]
 CRITICAL_REL_TOL = 0.01  # bracket width of the critical-current bisection
 
 
-def thermal_sigma(p: MagnetParams, T: float, dt: float) -> float:
-    """Per-component std dev of the thermal field sample [A/m].
+def thermal_sigma(p: MagnetParams, cfg: SimConfig) -> float:
+    """Per-component std dev of the thermal field sample [A/m] at the
+    temperature T and step dt of `cfg`.
 
     Fluctuation-dissipation form sigma^2 = 2 alpha kB T / (mu0^2 gamma Ms V dt).
     """
-    if T < 0:
-        raise ValueError("temperature must be >= 0")
-    if dt <= 0:
-        raise ValueError("dt must be > 0")
+    T = cfg.temperature
     if T == 0:
         return 0.0
-    return math.sqrt(2.0 * p.alpha * KB * T / (MU0 ** 2 * GAMMA * p.Ms * p.volume * dt))
+    return math.sqrt(2.0 * p.alpha * KB * T
+                     / (MU0 ** 2 * GAMMA * p.Ms * p.volume * cfg.dt))
 
 
 def effective_field(m: np.ndarray, p: MagnetParams,
@@ -286,9 +284,10 @@ def critical_spin_current(p: MagnetParams, horizon: float = 50e-9,
     return hi
 
 
-def switch_times(p: MagnetParams, Is: float, T: float, seeds,
+def switch_times(p: MagnetParams, Is: float, seeds,
                  cfg: SimConfig) -> list[float | None]:
-    """First-passage times of m_z through -mz_threshold [s], one per seed.
+    """First-passage times of m_z through -mz_threshold [s] at the
+    temperature of `cfg`, one per seed.
 
     Each seed is a member of one `GridHeun` ensemble started at +z, with its
     own make_rng(seed, STREAM_SWITCH); its time is the first (step + 1) dt
@@ -302,12 +301,10 @@ def switch_times(p: MagnetParams, Is: float, T: float, seeds,
     """
     if Is >= 0:
         raise ValueError("Is must oppose the initial +z orientation")
-    if cfg.dt > MAX_DT:
-        raise ValueError(f"dt = {cfg.dt} exceeds stability guard {MAX_DT}")
     n = len(seeds)
     heun = GridHeun(np.tile([0.0, 0.0, 1.0], (n, 1)), p, cfg.dt)
     heun.torque[...] = stt_rate(p, Is)
-    sigma = thermal_sigma(p, T, cfg.dt)
+    sigma = thermal_sigma(p, cfg)
     pending = {k: make_rng(seed, STREAM_SWITCH) for k, seed in enumerate(seeds)}
     noise, mz = np.zeros((n, SWITCH_BLOCK, 3)), np.empty((SWITCH_BLOCK, n))
     times: list[float | None] = [None] * n

@@ -149,7 +149,7 @@ class GridStepper:
     (5, members, rows, cols) (`mz` is a live view of m_z). The drive of
     every member is W @ y + c from its own `core.template_operator`,
     stacked block-diagonally, times its own i0. The thermal sigma is shared
-    (the dt guard is checked once). There is one Philox generator per
+    by all members. There is one Philox generator per
     distinct seed, keyed by (seed, STREAM_LLG): step n, counted from 0,
     resets its counter to n before the draw, which gives the bits of
     make_rng(seed, STREAM_LLG, n). Members on one seed share each step's
@@ -184,12 +184,10 @@ class GridStepper:
             if replace(m, i0=model.i0) != model:
                 raise ValueError("ensemble members may differ in CellModel "
                                  "only by i0")
-        if cfg.dt > dynamics.MAX_DT:
-            raise ValueError(f"dt = {cfg.dt} exceeds stability guard {dynamics.MAX_DT}")
         self.model, self.dt, self.frames = model, cfg.dt, frames
         self.mz_threshold = cfg.mz_threshold
         self.abs_b = abs(model.logic_boundary_mz)
-        self.sigma = dynamics.thermal_sigma(model.magnet, cfg.temperature, cfg.dt)
+        self.sigma = dynamics.thermal_sigma(model.magnet, cfg)
         self.heun = dynamics.GridHeun(np.stack([g.m for g, _, _ in members]),
                                       model.magnet, cfg.dt)
         self.step_index = 0

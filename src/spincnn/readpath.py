@@ -27,10 +27,18 @@ class MtjParams:
     V_read: float = 0.7          # [V]
 
     def __post_init__(self):
+        for name in ("t_ox_ref", "t_ox_read"):
+            t_ox = getattr(self, name)
+            if not T_OX_MIN <= t_ox <= T_OX_MAX:
+                raise ValueError(f"{name} = {t_ox:g} m outside the resistance "
+                                 f"model's validity window [{T_OX_MIN:g}, "
+                                 f"{T_OX_MAX:g}] m")
         if self.R_P_at_2nm <= 0 or self.lambda_ox <= 0:
             raise ValueError("R_P_at_2nm and lambda_ox must be > 0")
         if self.TMR <= 0:
             raise ValueError("TMR must be > 0")
+        if self.V_read <= 0:
+            raise ValueError("V_read must be > 0")
 
 
 # Default switching threshold: the divider voltage of the default MTJ
@@ -54,19 +62,13 @@ class InverterModel:
             raise ValueError("V_dd must be > 0")
 
 
-def _check_t_ox(t_ox: float):
-    if not T_OX_MIN <= t_ox <= T_OX_MAX:
-        raise ValueError(f"t_ox = {t_ox} outside validity window "
-                         f"[{T_OX_MIN}, {T_OX_MAX}]")
-
-
 def mtj_resistance(p: MtjParams, t_ox: float, mz: float) -> float:
     """Junction resistance [ohm]; conductance linear in m_z between P and AP.
 
     R_P grows exponentially with oxide thickness; the TMR is held at its
-    2 nm value.
+    2 nm value. t_ox is one of p's thicknesses, inside the validity window
+    that `MtjParams` checks.
     """
-    _check_t_ox(t_ox)
     r_p = p.R_P_at_2nm * math.exp((t_ox - 2e-9) / p.lambda_ox)
     r_ap = r_p * (1.0 + p.TMR)
     g = 0.5 * (1.0 / r_p + 1.0 / r_ap) + 0.5 * mz * (1.0 / r_p - 1.0 / r_ap)

@@ -38,8 +38,10 @@ class ChannelParams:
     ground_spin_sink: float = 0.0  # fraction g of spin diverted to ground
 
     def __post_init__(self):
-        if self.L < 0 or self.l_sf <= 0:
-            raise ValueError("L must be >= 0 and l_sf > 0")
+        if self.L < 0:
+            raise ValueError(f"length L = {self.L:g} m must be >= 0")
+        if self.l_sf <= 0:
+            raise ValueError(f"l_sf = {self.l_sf:g} m must be > 0")
         if not 0 < self.beta <= 1:
             raise ValueError("beta must be in (0, 1]")
         if not 0 <= self.ground_spin_sink < 1:
@@ -48,26 +50,21 @@ class ChannelParams:
     @cached_property
     def delivery(self) -> float:
         """Delivered spin-current fraction (1 - g) / cosh(L / l_sf)."""
-        return (1.0 - self.ground_spin_sink) * spin_transmission(self.L, self.l_sf)
+        return (1.0 - self.ground_spin_sink) * spin_transmission(self)
 
 
-def spin_transmission(L: float, l_sf: float) -> float:
+def spin_transmission(channel: ChannelParams) -> float:
     """Delivered spin-current fraction Is(L)/Is(0) = 1/cosh(L/l_sf)."""
-    if l_sf <= 0:
-        raise ValueError("l_sf must be > 0")
-    if L < 0:
-        raise ValueError("L must be >= 0")
     try:
-        return 1.0 / math.cosh(L / l_sf)
+        return 1.0 / math.cosh(channel.L / channel.l_sf)
     except OverflowError:  # cosh past the float range: no spin arrives
         return 0.0
 
 
-def injected_spin_current(charge_current: float, beta: float) -> float:
+def injected_spin_current(charge_current: float,
+                          channel: ChannelParams) -> float:
     """Spin current injected at the input magnet: beta * I_charge [A]."""
-    if not 0 < beta <= 1:
-        raise ValueError("beta must be in (0, 1]")
-    return beta * charge_current
+    return channel.beta * charge_current
 
 
 def solve_drift_diffusion(n_points: int, channel: ChannelParams,

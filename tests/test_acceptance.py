@@ -56,7 +56,7 @@ def test_criterion_01_llg_physics_suite():
     # (a) |m| conservation <= 1e-9 per step
     m = np.array([0.6, 0.0, 0.8])
     worst = 0.0
-    torque, sigma = stt_rate(p, -1e-6), thermal_sigma(p, 300.0, 1e-12)
+    torque, sigma = stt_rate(p, -1e-6), thermal_sigma(p, SimConfig())
     for _ in range(2000):
         m = heun_step(m, p, torque, rng.standard_normal(3) * sigma, 1e-12)
         worst = max(worst, abs(float(np.linalg.norm(m)) - 1.0))
@@ -95,7 +95,7 @@ def test_criterion_01_llg_physics_suite():
     rng = make_rng(2024, 2)
     ens = rng.standard_normal((n_mag, 3))
     ens /= np.linalg.norm(ens, axis=-1, keepdims=True)
-    sigma = thermal_sigma(pr, T, dt)
+    sigma = thermal_sigma(pr, SimConfig(dt=dt, temperature=T))
     # the grid kernel at zero torque, bit for bit a heun_step loop fed
     # rng.standard_normal((n_mag, 3)) * sigma per step
     heun = GridHeun(ens, pr, dt)
@@ -161,7 +161,7 @@ def test_criterion_02_critical_current():
 
 def test_criterion_03_spin_transport():
     ch = ChannelParams()
-    exact = spin_transmission(ch.L, ch.l_sf)
+    exact = spin_transmission(ch)
     assert exact == pytest.approx(0.9723097578, abs=5e-11)
     err_1024 = abs(numeric_transmission(1024, ch) - exact)
     assert err_1024 <= 1e-6
@@ -308,12 +308,17 @@ def test_criterion_05_associative_memory():
 
 def test_criterion_06_read_path():
     inv = InverterModel()
+    mz = np.linspace(-1, 1, 41)
     for t_ox in (1.9e-9, 2.0e-9, 2.1e-9):
         mtj = MtjParams(t_ox_ref=t_ox, t_ox_read=t_ox)
         assert read_cell(mtj, inv, 1.0)[1] == 1
         assert read_cell(mtj, inv, -1.0)[1] == -1
+        # the logic read the grid runs, against the analog read's logic
+        logic = CellModel(mtj=mtj, inverter=inv).logic
+        assert list(logic(np.array([1.0, -1.0]))) == [1.0, -1.0]
+        assert list(logic(mz)) == [read_cell(mtj, inv, v)[1] for v in mz]
     mtj = MtjParams()
-    analog = [read_cell(mtj, inv, mz)[0] for mz in np.linspace(-1, 1, 41)]
+    analog = [read_cell(mtj, inv, v)[0] for v in mz]
     assert all(a <= b + 1e-12 for a, b in zip(analog, analog[1:]))
     i_read = max(read_current(mtj, mz) for mz in (-1.0, 0.0, 1.0))
     assert i_read <= 3.5e-6 * (1 + 1e-12)

@@ -1,18 +1,24 @@
 """Command-line interface: exit codes, artifacts, manifests, determinism."""
 
+import contextlib
+import io
 import json
+import math
 import os
 import subprocess
 import sys
+import tempfile
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import spincnn
 from spincnn import load_glyph
 from spincnn.cli import _trajectory_csv, main
-from spincnn.config import _SCHEMA
+from spincnn.config import _SCHEMA, FullConfig
 from spincnn.core import (MagnetParams, Pattern, SimConfig, add_noise,
                           load_pattern_file, save_pattern)
 from spincnn.dynamics import analytic_critical_current, switch_times
@@ -131,7 +137,7 @@ class TestSimulate:
 
     @pytest.mark.parametrize("text, key", [
         ("[magnet]\nms = nan\n", "ms"),
-        ("[drive]\ni0 = -1e-3\n", "i0"),
+        ("[drive]\ni0_over_ic = -1\n", "i0_over_ic"),
     ])
     def test_bad_config_value_exits_one_before_integrating(
             self, tmp_path, capsys, text, key):
@@ -154,7 +160,17 @@ class TestSimulate:
         ("[energy]\nfeature_size = 32e-9\n",
          "line 2: unknown key 'feature_size'"),
         ("[energy]\nmin_width_f = 4\n", "line 2: unknown key 'min_width_f'"),
-        ("[magnet]\nms = 1e-300\n", "[magnet] ms: Ms V dt = 0 underflows"),
+        ("[magnet]\nms = 1e-300\n", "[magnet] ms, length, width, thickness "
+         "and [sim] dt: Ms V dt = 0 underflows"),
+        ("[magnet]\nlength = 1e-300\n", "[magnet] ms, length, width, "
+         "thickness and [sim] dt: Ms V dt = 2.96e-323 underflows"),
+        ("[sim]\ndt = 2e-11\n", "[sim]: dt = 2e-11 exceeds stability guard"),
+        ("[mtj]\nt_ox_read = 0\n", "[mtj]: t_ox_read = 0 m outside"),
+        ("[mtj]\nv_read = 0\n", "[mtj]: V_read must be > 0"),
+        ("[mtj]\nv_read = 1e-300\n", "[inverter] v_th: logic boundary at "
+         "m_z = -1 with [mtj] v_read = 1e-300 V"),
+        ("[amplifier]\ndelay_floor = 0\n", "[amplifier]: delay_floor must be"),
+        ("[channel]\nlength = -1\n", "[channel]: length L = -1 m must be"),
         ("[mtj]\ntmr = 1e300\n", "[mtj]: tmr = 1e+300 with r_p = 100000 ohm "
          "leaves a zero junction conductance at m_z = -1"),
         ("[mtj]\ntmr = 1e-300\n", "[mtj]: tmr = 1e-300 leaves a zero "
@@ -171,7 +187,7 @@ class TestSimulate:
         assert f"error: config {cfg}: {named}" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("text", ["[drive]\ni0 = 1e200\n",
+    @pytest.mark.parametrize("text", ["[drive]\ni0_over_ic = 1e300\n",
                                       "[magnet]\nku = 1e300\n"])
     def test_non_finite_state_exits_one_naming_time_and_seed(
             self, tmp_path, capsys, text):
@@ -190,7 +206,7 @@ class TestSimulate:
         # a fresh interpreter with warnings shown: the overflow inside the
         # kernel must not reach stderr ahead of the error line
         cfg = tmp_path / "wild.cfg"
-        cfg.write_text("[drive]\ni0 = 1e200\n")
+        cfg.write_text("[drive]\ni0_over_ic = 1e300\n")
         src = os.path.dirname(os.path.dirname(spincnn.__file__))
         env = dict(os.environ, PYTHONPATH=src, PYTHONWARNINGS="default")
         proc = subprocess.run(
@@ -389,7 +405,7 @@ class TestOracle:
         assert main(["oracle", "switch-stats", "--config", str(cfg)]) == 0
         out = capsys.readouterr().out
         i0 = 10 * analytic_critical_current(MagnetParams())
-        times = switch_times(MagnetParams(), -i0, 300.0, range(20),
+        times = switch_times(MagnetParams(), -i0, range(20),
                              SimConfig(mz_threshold=0.5))
         assert f"seeds at 300 K: {float(np.mean(times)) * 1e9:.4f} ns" in out
         assert "switch time: 1.3520 ns" in out
@@ -445,7 +461,11 @@ DRAWN_KEYS = [(section, key) for section, keys in _SCHEMA.items()
 def test_extreme_values_of_every_key_end_cleanly(tmp_path, capsys, section,
                                                  key):
     # whatever a key is set to, a command exits 0 or 2, or exits 1 with one
-    # line on stderr: never a traceback, and no warning ahead of the error
+    # line on stderr: never a traceback, and no warning ahead of the error.
+    # A line for a config the parser rejects names the key at fault; a
+    # line for a failure at run time (a state that is not finite, no
+    # bisection bracket, a grid the drift-diffusion solve cannot hold)
+    # need not name one
     pattern = tmp_path / "p.pat"
     pattern.write_text("#..#\n.##.\n.##.\n#..#\n")
     commands = [["simulate", "--pattern", str(pattern), "--out",
@@ -465,6 +485,70 @@ def test_extreme_values_of_every_key_end_cleanly(tmp_path, capsys, section,
                 [str(w.message) for w in caught]
             assert rc in (0, 2) or (rc == 1 and len(err) == 1), \
                 (value, argv[:2], rc, err)
+            if rc == 1 and err[0].startswith(f"error: config {cfg}:"):
+                assert key in err[0].lower(), (value, argv[:2], err)
+
+
+def value_texts(section, key):
+    """Values for one key: mostly within three decades of its default, else
+    an extreme, any finite float or a negated default."""
+    part = FullConfig() if section == "network" \
+        else getattr(FullConfig(), section)
+    default = getattr(part, _SCHEMA[section][key][0])
+    if isinstance(default, str):
+        return st.sampled_from(["minus-one", "zero-flux", "mirror"])
+    if isinstance(default, int):
+        return st.integers(-2 ** 70, 2 ** 70).map(str)
+    scale = default if isinstance(default, float) and default else 1.0
+    near = st.floats(-3, 3).map(lambda e: scale * 10 ** e)
+    number = st.one_of(
+        near, near, near,
+        st.sampled_from([0.0, -1.0, 1e-300, 1e300]),
+        st.floats(allow_nan=False, allow_infinity=False),
+        near.map(lambda v: -v)).map(repr)
+    if isinstance(default, tuple):  # the (V, I) anchors of the IV table
+        anchor = st.tuples(number, number).map(lambda vi: f"({vi[0]},{vi[1]})")
+        return st.lists(anchor, min_size=1, max_size=3).map(";".join)
+    return number
+
+
+@st.composite
+def drawn_configs(draw):
+    keys = draw(st.lists(st.sampled_from(DRAWN_KEYS), min_size=1, max_size=6,
+                         unique=True))
+    return SHORT_RUN + "".join(f"[{s}]\n{k} = {draw(value_texts(s, k))}\n"
+                               for s, k in keys)
+
+
+@given(drawn_configs())
+@settings(max_examples=200, deadline=None)
+def test_any_drawn_config_ends_cleanly(text):
+    # a config of several drawn keys: simulate exits 0 or 2 with finite
+    # outputs, or exits 1 with one line on stderr and no warning
+    with tempfile.TemporaryDirectory() as tmp:
+        pattern, cfg = os.path.join(tmp, "p.pat"), os.path.join(tmp, "c.cfg")
+        out = os.path.join(tmp, "o")
+        with open(pattern, "w") as fh:
+            fh.write("#..#\n.##.\n.##.\n#..#\n")
+        with open(cfg, "w") as fh:
+            fh.write(text)
+        err = io.StringIO()
+        with warnings.catch_warnings(record=True) as caught, \
+                contextlib.redirect_stderr(err), \
+                contextlib.redirect_stdout(io.StringIO()):
+            warnings.simplefilter("always")
+            rc = main(["simulate", "--pattern", pattern, "--out", out,
+                       "--config", cfg])
+        lines = err.getvalue().splitlines() + [str(w.message) for w in caught]
+        if rc == 1:
+            assert len(lines) == 1, lines
+            return
+        assert rc in (0, 2) and not lines, (rc, lines)
+        with open(os.path.join(out, "trajectory.csv")) as fh:
+            rows = fh.read().splitlines()[1:]
+        assert rows and all(math.isfinite(float(v))
+                            for row in rows for v in row.split(","))
+        load_pattern_file(os.path.join(out, "final.pat"))
 
 
 def test_channel_beyond_the_float_range_simulates(tmp_path, capsys):

@@ -48,10 +48,6 @@ class TestOverrides:
         cfg = parse_config("[network]\nboundary = zero-flux\n")
         assert cfg.boundary == BOUNDARY_ZERO_FLUX
 
-    def test_drive_absolute_override(self):
-        cfg = parse_config("[drive]\ni0 = 1e-5\n")
-        assert cfg.drive.i0 == 1e-5
-
 
 # one value per config key, each different from that key's default
 KEY_VALUES = {
@@ -71,7 +67,7 @@ KEY_VALUES = {
     ("inverter", "v_dd"): ("0.8", 0.8), ("inverter", "gain"): ("30", 30.0),
     ("inverter", "v_th"): ("0.42", 0.42),
     ("drive_model", "iv"): ("(0.01,1e-6);(1.0,5e-5)", ((0.01, 1e-6), (1.0, 5e-5))),
-    ("drive", "i0_over_ic"): ("3", 3.0), ("drive", "i0"): ("1e-5", 1e-5),
+    ("drive", "i0_over_ic"): ("3", 3.0),
     ("amplifier", "p_neuron"): ("1e-5", 1e-5), ("amplifier", "p_synapse"): ("1e-6", 1e-6),
     ("amplifier", "delay_0"): ("50e-9", 50e-9),
     ("amplifier", "delay_floor"): ("5e-9", 5e-9),
@@ -85,7 +81,7 @@ KEY_VALUES = {
 def test_every_schema_key_sets_the_field_it_names():
     keys = {(sec, key) for sec, entries in _SCHEMA.items() for key in entries}
     assert keys == set(KEY_VALUES)
-    assert len(keys) == 37
+    assert len(keys) == 36
     default = FullConfig()
     for (sec, key), (text, value) in KEY_VALUES.items():
         field_name, _ = _SCHEMA[sec][key]
@@ -161,8 +157,6 @@ class TestErrors:
             parse_config(text)
 
     @pytest.mark.parametrize("text", [
-        "[drive]\ni0 = -1e-3\n",
-        "[drive]\ni0 = 0\n",
         "[drive]\ni0_over_ic = 0\n",
     ])
     def test_non_positive_drive_rejected(self, text):
@@ -177,6 +171,7 @@ class TestErrors:
         "[energy]\nmin_width_f = 4\n",
         "[channel]\nsigma = 1e7\n",
         "[channel]\ncross_section = 1e-16\n",
+        "[drive]\ni0 = 1e-5\n",
     ])
     def test_deleted_key_is_unknown(self, text):
         with pytest.raises(ConfigError, match="line 2: unknown key"):

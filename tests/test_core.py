@@ -174,6 +174,7 @@ class TestSimConfig:
         {"dt": 0.0}, {"t_max": 1e-13}, {"temperature": -1.0},
         {"mz_threshold": 0.0}, {"mz_threshold": 1.0}, {"hold_time": -1e-9},
         {"sample_interval": 0.0}, {"sample_interval": -1e-10},
+        {"dt": 2e-11},
     ])
     def test_invalid_rejected(self, kwargs):
         with pytest.raises(ValueError):

@@ -44,23 +44,25 @@ class TestThermalField:
         # independent recomputation of the stated closed form
         expected = math.sqrt(2 * P.alpha * KB * 300.0
                              / (MU0 ** 2 * GAMMA * P.Ms * P.volume * 1e-12))
-        assert thermal_sigma(P, 300.0, 1e-12) == pytest.approx(expected, rel=1e-12)
+        assert thermal_sigma(P, SimConfig()) == pytest.approx(expected, rel=1e-12)
         assert expected == pytest.approx(18193.8, rel=1e-4)
 
     def test_sample_mean_small(self):
         rng = make_rng(12, 3)
-        sigma = thermal_sigma(P, 300.0, 1e-12)
+        sigma = thermal_sigma(P, SimConfig())
         draws = rng.standard_normal((10 ** 6, 3)) * sigma
         assert np.all(np.abs(draws.mean(axis=0)) < 5 * sigma / 1000)
 
     def test_negative_temperature_rejected(self):
-        with pytest.raises(ValueError):
-            thermal_sigma(P, -1.0, 1e-12)
+        # the temperature comes from a SimConfig, which checks it
+        with pytest.raises(ValueError, match="temperature"):
+            thermal_sigma(P, SimConfig(temperature=-1.0))
 
 
 def thermal_step(m, Is, T, rng, dt=1e-12):
     """One `heun_step` under spin current Is with a fresh thermal sample."""
-    thermal = rng.standard_normal(3) * thermal_sigma(P, T, dt)
+    thermal = rng.standard_normal(3) * thermal_sigma(
+        P, SimConfig(dt=dt, temperature=T))
     return heun_step(m, P, stt_rate(P, Is), thermal, dt)
 
 
@@ -177,7 +179,7 @@ def test_grid_heun_equals_heun_step_loop(shape, per_cell, T):
     m /= np.linalg.norm(m, axis=-1, keepdims=True)
     rate = stt_rate(P, 10 * analytic_critical_current(P))
     torque = rate * rng.choice((-1.0, 1.0), shape) if per_cell else rate
-    sigma = thermal_sigma(P, T, 1e-12)
+    sigma = thermal_sigma(P, SimConfig(temperature=T))
     draws = make_rng(5, STREAM_SWITCH)
     heun = GridHeun(m, P, 1e-12)
     heun.torque[...] = torque
@@ -191,15 +193,16 @@ def test_grid_heun_equals_heun_step_loop(shape, per_cell, T):
         assert np.array_equal(heun.m[3:], heun.m[:2])
 
 
-def reference_switch_time(p, Is, T, seed, cfg, tilt_deg=0.0, trace=None):
+def reference_switch_time(p, Is, seed, cfg, tilt_deg=0.0, trace=None):
     """One magnet stepped by `heun_step` with a per-step thermal draw of
-    standard_normal(3) * sigma; at T = 0 and a tilted start this is the
+    standard_normal(3) * sigma at the temperature of `cfg`; at T = 0 and
+    a tilted start this is the
     loop that `t0_crossing_step` unrolls. Appends each m_z to `trace`."""
     rng = make_rng(seed, STREAM_SWITCH)
     tilt = math.radians(tilt_deg)
     m = np.array([math.sin(tilt), 0.0, math.cos(tilt)])
     torque = stt_rate(p, Is)
-    sigma = thermal_sigma(p, T, cfg.dt)
+    sigma = thermal_sigma(p, cfg)
     for n in range(1, int(round(cfg.t_max / cfg.dt)) + 1):
         thermal = rng.standard_normal(3) * sigma if sigma else np.zeros(3)
         m = heun_step(m, p, torque, thermal, cfg.dt)
@@ -215,20 +218,22 @@ class TestSwitchTime:
 
     def test_subcritical_times_out_at_zero_temperature(self):
         Is = -0.5 * analytic_critical_current(P)
-        assert switch_times(P, Is, 0.0, [0], cfg=self.CFG) == [None]
+        cfg = SimConfig(t_max=10e-9, temperature=0.0)
+        assert switch_times(P, Is, [0], cfg) == [None]
 
     def test_wrong_sign_rejected(self):
         with pytest.raises(ValueError):
-            switch_times(P, 1e-6, 300.0, [0], self.CFG)
+            switch_times(P, 1e-6, [0], self.CFG)
 
     def test_step_guard(self):
         Is = -10 * analytic_critical_current(P)
+        # the step comes from a SimConfig, which checks it
         with pytest.raises(ValueError, match="stability guard"):
-            switch_times(P, Is, 300.0, [0], SimConfig(dt=5e-11))
+            switch_times(P, Is, [0], SimConfig(dt=5e-11))
 
     def test_thermal_switching_at_demo_drive(self):
         Is = -10 * analytic_critical_current(P)
-        times = switch_times(P, Is, 300.0, range(10), self.CFG)
+        times = switch_times(P, Is, range(10), self.CFG)
         assert all(t is not None for t in times)
         med = float(np.median(times))
         assert 0.1e-9 <= med <= 4e-9
@@ -237,25 +242,25 @@ class TestSwitchTime:
         ic = analytic_critical_current(P)
         medians = []
         for mult in (2, 5, 20):
-            ts = switch_times(P, -mult * ic, 300.0, range(8), self.CFG)
+            ts = switch_times(P, -mult * ic, range(8), self.CFG)
             assert all(t is not None for t in ts)
             medians.append(float(np.median(ts)))
         assert medians[0] > medians[1] > medians[2]
 
     def test_seed_determinism(self):
         Is = -10 * analytic_critical_current(P)
-        assert switch_times(P, Is, 300.0, [4], self.CFG) == \
-            switch_times(P, Is, 300.0, [4], self.CFG)
+        assert switch_times(P, Is, [4], self.CFG) == \
+            switch_times(P, Is, [4], self.CFG)
 
-    @pytest.mark.parametrize("T, seeds, cfg, timeouts", [
-        (300.0, range(4), CFG, 0),
-        (300.0, [7, 3, 1000003], SimConfig(t_max=1.3e-9), 2),
-        (300.0, [7, 3, 1000003], SimConfig(mz_threshold=0.5), 0),
+    @pytest.mark.parametrize("seeds, cfg, timeouts", [
+        (range(4), CFG, 0),
+        ([7, 3, 1000003], SimConfig(t_max=1.3e-9), 2),
+        ([7, 3, 1000003], SimConfig(mz_threshold=0.5), 0),
     ], ids=["300K", "with-timeouts", "threshold-0.5"])
-    def test_bit_identical_to_reference_loop(self, T, seeds, cfg, timeouts):
+    def test_bit_identical_to_reference_loop(self, seeds, cfg, timeouts):
         Is = -10 * analytic_critical_current(P)
-        got = switch_times(P, Is, T, seeds, cfg)
-        assert got == [reference_switch_time(P, Is, T, s, cfg) for s in seeds]
+        got = switch_times(P, Is, seeds, cfg)
+        assert got == [reference_switch_time(P, Is, s, cfg) for s in seeds]
         assert got.count(None) == timeouts
         # every switching member crosses after the first 256-step block
         assert all(t > 256 * cfg.dt for t in got if t is not None)
@@ -270,9 +275,10 @@ class TestT0Crossing:
         # m_z falls monotonically at T = 0, so with a level equal to the
         # reference m_z after step n, a loop even one ulp above it there
         # crosses at n + 1
-        cfg, Is = SimConfig(), -mult * analytic_critical_current(P)
+        cfg = SimConfig(temperature=0.0)
+        Is = -mult * analytic_critical_current(P)
         mz = []
-        t_ref = reference_switch_time(P, Is, 0.0, 0, cfg, T0_TILT_DEG, trace=mz)
+        t_ref = reference_switch_time(P, Is, 0, cfg, T0_TILT_DEG, trace=mz)
         assert t0_crossing_step(P, Is, -0.9, cfg.t_max, cfg.dt) * cfg.dt == t_ref
         n_half = next(n for n, v in enumerate(mz, 1) if v <= -0.5)
         assert t0_crossing_step(P, Is, -0.5, cfg.t_max, cfg.dt) == n_half
@@ -281,9 +287,9 @@ class TestT0Crossing:
             assert t0_crossing_step(P, Is, mz[n - 1], cfg.t_max, cfg.dt) == n
 
     def test_subcritical_drive_returns_none(self):
-        cfg = SimConfig(t_max=3e-9, mz_threshold=0.5)
+        cfg = SimConfig(t_max=3e-9, mz_threshold=0.5, temperature=0.0)
         Is = -0.5 * analytic_critical_current(P)
-        assert reference_switch_time(P, Is, 0.0, 0, cfg, T0_TILT_DEG) is None
+        assert reference_switch_time(P, Is, 0, cfg, T0_TILT_DEG) is None
         # None at the 3,000-step horizon, and here from the tilt collapse
         # check, which sees the tilt below 0.3 of its start within 10,000 steps
         assert t0_crossing_step(P, Is, -0.5, cfg.t_max, cfg.dt) is None

@@ -95,7 +95,7 @@ class TestNetCurrents:
 
     def test_delivery_is_the_one_channel_factor(self):
         ch = ChannelParams(ground_spin_sink=0.25)
-        assert ch.delivery == 0.75 * spin_transmission(ch.L, ch.l_sf)
+        assert ch.delivery == 0.75 * spin_transmission(ch)
         levels = [1] * 9
         levels[4] = -1
         assert centre_drive(single_tap(4, 2.0), levels,
@@ -336,7 +336,7 @@ def reference_run(grid, cfg, model):
     step and the drive recomputed after every step by `reference_drive`,
     the slice loop that shares no code with `core.template_operator`."""
     p, m = model.magnet, grid.m.copy()
-    sigma = thermal_sigma(p, cfg.temperature, cfg.dt)
+    sigma = thermal_sigma(p, cfg)
     sample_every = max(int(round(cfg.sample_interval / cfg.dt)), 1)
     hold_steps = int(round(cfg.hold_time / cfg.dt))
     n_steps = int(round(cfg.t_max / cfg.dt))

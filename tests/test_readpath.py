@@ -36,10 +36,11 @@ class TestMtjResistance:
         assert r21 / r20 == pytest.approx(pytest.approx(1.6487, rel=1e-3))
 
     def test_validity_window(self):
-        with pytest.raises(ValueError):
-            mtj_resistance(MTJ, 0.5e-9, 1.0)
-        with pytest.raises(ValueError):
-            mtj_resistance(MTJ, 3.5e-9, 1.0)
+        # the junction stack checks both thicknesses, naming each
+        with pytest.raises(ValueError, match="t_ox_read = 5e-10 m outside"):
+            MtjParams(t_ox_read=0.5e-9)
+        with pytest.raises(ValueError, match="t_ox_ref = 3.5e-09 m outside"):
+            MtjParams(t_ox_ref=3.5e-9)
 
 
 class TestDivider:

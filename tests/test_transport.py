@@ -17,45 +17,50 @@ from spincnn.transport import (ChannelParams, injected_spin_current,
 CH = ChannelParams()
 
 
+def transmission(L, l_sf):
+    """Closed-form transmission of a channel of length L."""
+    return spin_transmission(ChannelParams(L=L, l_sf=l_sf))
+
+
 class TestClosedForm:
     def test_zero_length_channel(self):
-        assert spin_transmission(0.0, 420e-9) == 1.0
+        assert transmission(0.0, 420e-9) == 1.0
 
     def test_default_geometry(self):
         # frozen oracle: 1/cosh(100/420)
-        assert spin_transmission(100e-9, 420e-9) == pytest.approx(
+        assert transmission(100e-9, 420e-9) == pytest.approx(
             0.9723097577573755, rel=1e-12)
 
     def test_equal_lengths(self):
-        assert spin_transmission(1e-7, 1e-7) == pytest.approx(
+        assert transmission(1e-7, 1e-7) == pytest.approx(
             1 / math.cosh(1.0), rel=1e-12)
 
     def test_monotone_in_arguments(self):
-        t = [spin_transmission(L, 420e-9) for L in (50e-9, 100e-9, 200e-9)]
+        t = [transmission(L, 420e-9) for L in (50e-9, 100e-9, 200e-9)]
         assert t[0] > t[1] > t[2]
-        s = [spin_transmission(100e-9, l) for l in (200e-9, 420e-9, 800e-9)]
+        s = [transmission(100e-9, l) for l in (200e-9, 420e-9, 800e-9)]
         assert s[0] < s[1] < s[2]
 
     def test_beyond_the_float_range_no_spin_arrives(self):
         # cosh(L / l_sf) overflows: 1 / cosh has the limit 0
-        assert spin_transmission(1.0, 1e-300) == 0.0
+        assert transmission(1.0, 1e-300) == 0.0
         assert ChannelParams(l_sf=1e-300).delivery == 0.0
 
     def test_bad_arguments(self):
-        with pytest.raises(ValueError):
-            spin_transmission(100e-9, 0.0)
-        with pytest.raises(ValueError):
-            spin_transmission(-1e-9, 420e-9)
+        # the channel checks its own geometry, naming the config key
+        with pytest.raises(ValueError, match="l_sf = 0 m must be > 0"):
+            ChannelParams(L=100e-9, l_sf=0.0)
+        with pytest.raises(ValueError, match="length L = -1e-09 m must be"):
+            ChannelParams(L=-1e-9, l_sf=420e-9)
 
 
 class TestNumericBvp:
     def test_matches_closed_form_at_1024(self):
-        err = abs(numeric_transmission(1024, CH)
-                  - spin_transmission(CH.L, CH.l_sf))
+        err = abs(numeric_transmission(1024, CH) - spin_transmission(CH))
         assert err <= 1e-6
 
     def test_second_order_convergence(self):
-        exact = spin_transmission(CH.L, CH.l_sf)
+        exact = spin_transmission(CH)
         errs = [abs(numeric_transmission(n, CH) - exact)
                 for n in (64, 128, 256, 512)]
         orders = [math.log2(errs[i] / errs[i + 1]) for i in range(3)]
@@ -84,17 +89,18 @@ class TestNumericBvp:
 
 class TestInjection:
     def test_paper_endpoint(self):
-        assert injected_spin_current(75e-6, 0.5) == pytest.approx(37.5e-6)
+        assert injected_spin_current(75e-6, CH) == pytest.approx(37.5e-6)
 
     def test_zero(self):
-        assert injected_spin_current(0.0, 0.5) == 0.0
+        assert injected_spin_current(0.0, CH) == 0.0
 
     def test_sign_linearity(self):
-        assert injected_spin_current(-10e-6, 0.5) == pytest.approx(-5e-6)
+        assert injected_spin_current(-10e-6, CH) == pytest.approx(-5e-6)
 
     def test_beta_domain(self):
-        with pytest.raises(ValueError):
-            injected_spin_current(1e-6, 0.0)
+        # beta comes from the channel, which checks it
+        with pytest.raises(ValueError, match="beta"):
+            injected_spin_current(1e-6, ChannelParams(beta=0.0))
 
 
 def centre_current(levels, i0=1e-6, ch=CH):
@@ -107,13 +113,13 @@ def centre_current(levels, i0=1e-6, ch=CH):
 
 class TestNetSpinCurrent:
     def test_cross_template_all_up(self):
-        expected = 5.0 * 1e-6 * spin_transmission(CH.L, CH.l_sf)
+        expected = 5.0 * 1e-6 * spin_transmission(CH)
         assert centre_current([1] * 9) == pytest.approx(expected, rel=1e-12)
 
     def test_minority_center(self):
         levels = [1] * 9
         levels[4] = -1
-        expected = 3.0 * 1e-6 * spin_transmission(CH.L, CH.l_sf)
+        expected = 3.0 * 1e-6 * spin_transmission(CH)
         assert centre_current(levels) == pytest.approx(expected, rel=1e-12)
 
 

@@ -169,11 +169,9 @@ def cmd_simulate(args, argv: list[str]) -> int:
             raise CliError(f"templates {args.templates}: trained for "
                            f"{ta.shape[0]}x{ta.shape[1]} grids, pattern is "
                            f"{pattern.rows}x{pattern.cols}")
-        traj = run(CnnGrid.recall(pattern, templates), cfg, model)
     else:
         templates = noise_filter_templates()
-        grid = CnnGrid.from_pattern(pattern, pattern, templates)
-        traj = run(grid, cfg, model)
+    traj = run(CnnGrid.from_pattern(pattern, pattern, templates), cfg, model)
 
     os.makedirs(args.out, exist_ok=True)
     manifest = _Manifest(argv, digest, cfg.seed)

@@ -147,9 +147,12 @@ def parse_config(text: str) -> FullConfig:
     except (ValueError, ArithmeticError) as exc:
         raise ConfigError(f"[mtj]: {exc}") from exc
     if not -1.0 < b < 1.0:
+        mtj = cfg.mtj
         raise ConfigError(f"[inverter] v_th: logic boundary at m_z = {b:.4g} "
-                          f"with [mtj] v_read = {cfg.mtj.V_read:g} V and this "
-                          "read stack, outside (-1, 1)")
+                          f"with [mtj] v_read = {mtj.V_read:g} V, tmr = "
+                          f"{mtj.TMR:g}, t_ox_ref = {mtj.t_ox_ref:g} m, "
+                          f"t_ox_read = {mtj.t_ox_read:g} m and lambda_ox = "
+                          f"{mtj.lambda_ox:g} m, outside (-1, 1)")
     # the thermal field divides by Ms V dt, and the anisotropy field by Ms
     magnet = cfg.magnet
     ms_v_dt = magnet.Ms * magnet.volume * cfg.sim.dt

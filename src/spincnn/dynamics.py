@@ -16,20 +16,15 @@ renormalization of m.
 
 Sign convention: positive spin current drives m_z toward +1.
 
-Three implementations of the Heun step exist. `heun_step` takes and returns
-(..., 3) arrays. `GridHeun` steps a whole grid in place from preallocated
-buffers in a cyclic component-first layout, (5, rows, cols) holding x, y,
-z, x, y; it also steps an ensemble of independent single magnets as a
-(5, n) grid, which is how `switch_times` runs its thermal realisations. It
-owns its inputs, a thermal buffer in the draw layout (*grid, 3) and a
-torque buffer, and binds every view of its buffers once, so a step is a
-fixed run of ufunc calls with no slicing. Both give the same bits: every
-element goes through the same floating-point operations in the same order.
-`t0_crossing_step`, the one T = 0 loop of the critical-current bisection
-and the switch-stats oracle, is `heun_step` unrolled in scalar floats at
-zero thermal field, again with its bits: one magnet is all NumPy dispatch,
-~70 us per step in a one-magnet `GridHeun` against ~1.5 us here (Python
-3.11, NumPy 2.4, 2 shared cores).
+`GridHeun` is the one vector Heun step: it steps a grid of magnets in
+place, and an ensemble of single magnets as a one-axis grid, which is how
+`switch_times` runs its thermal realisations. `t0_crossing_step`, the one
+T = 0 loop of the critical-current bisection and the switch-stats oracle,
+unrolls the same step in scalar floats at zero thermal field: one magnet
+is all NumPy dispatch, ~34 us per step in a one-magnet `GridHeun` against
+~1.1 us there (Python 3.11, NumPy 2.4, 2 shared cores). The bit contract
+of both is the NumPy step of tests/llg_reference.py: every element goes
+through its floating-point operations in the same order.
 """
 
 from __future__ import annotations
@@ -59,56 +54,26 @@ def thermal_sigma(p: MagnetParams, cfg: SimConfig) -> float:
                      / (MU0 ** 2 * GAMMA * p.Ms * p.volume * cfg.dt))
 
 
-def effective_field(m: np.ndarray, p: MagnetParams,
-                    thermal: np.ndarray) -> np.ndarray:
-    """Uniaxial easy-axis field (0, 0, Hk m_z) plus the thermal sample."""
-    m = np.asarray(m, dtype=float)
-    H = np.array(thermal, dtype=float, copy=True)
-    H[..., 2] += p.Hk * m[..., 2]
-    return H
-
-
 def stt_rate(p: MagnetParams, Is: float) -> float:
     """Angular rate I_s / (q Ns) [rad/s] of the spin-torque term."""
     return Is / (Q * p.Ns)
 
 
-def _drift(m: np.ndarray, H: np.ndarray, torque_z: float, alpha: float) -> np.ndarray:
-    """Explicit dm/dt for magnetization(s) m under total field H [A/m].
-
-    Works on any (..., 3) shape; torque_z may be scalar or broadcastable to
-    the leading shape. Cross products are unrolled by component, which is
-    several times faster than np.cross on the small arrays used here.
-    """
-    mx, my, mz = m[..., 0], m[..., 1], m[..., 2]
-    hx, hy, hz = H[..., 0], H[..., 1], H[..., 2]
-    c = -GAMMA * MU0
-    gx = c * (my * hz - mz * hy)
-    gy = c * (mz * hx - mx * hz)
-    gz = c * (mx * hy - my * hx) + torque_z
-    mdotg = mx * gx + my * gy + mz * gz
-    a2 = alpha * alpha
-    out = np.empty(np.broadcast(m, H).shape)
-    out[..., 0] = gx + alpha * (my * gz - mz * gy) + a2 * mdotg * mx
-    out[..., 1] = gy + alpha * (mz * gx - mx * gz) + a2 * mdotg * my
-    out[..., 2] = gz + alpha * (mx * gy - my * gx) + a2 * mdotg * mz
-    out /= 1.0 + a2
-    return out
-
-
 def heun_step(m: np.ndarray, p: MagnetParams, torque_z, thermal: np.ndarray,
               dt: float) -> np.ndarray:
-    """One renormalized Heun step; thermal sample shared by both stages."""
-    d1 = _drift(m, effective_field(m, p, thermal), torque_z, p.alpha)
-    mp = m + dt * d1
-    d2 = _drift(mp, effective_field(mp, p, thermal), torque_z, p.alpha)
-    out = m + 0.5 * dt * (d1 + d2)
-    return out / np.linalg.norm(out, axis=-1, keepdims=True)
+    """One Heun step of the magnet(s) m, (..., 3), by a one-step `GridHeun`.
+    Only the perfbench micro-timings read it; it goes when ROADMAP item 1
+    points them at `GridHeun.step`."""
+    heun = GridHeun(np.reshape(m, (-1, 3)), p, dt)
+    heun.torque.reshape(np.shape(m)[:-1])[...] = torque_z
+    heun.noise[...] = np.reshape(thermal, (-1, 3))
+    heun.step()
+    return np.moveaxis(heun.m[:3], 0, -1).reshape(np.shape(m))
 
 
 class GridHeun:
-    """In-place Heun stepper for a grid of magnets, bit-identical to
-    `heun_step`.
+    """In-place Heun stepper for a grid of magnets, bit-identical to the
+    reference step of tests/llg_reference.py.
 
     State and fields live in cyclic component-first buffers of shape
     (5, *grid), rows x, y, z, x, y; the grid has at least one axis.
@@ -124,7 +89,7 @@ class GridHeun:
     fixed sequence of ufunc calls on prebuilt views.
 
     Bit-identity contract: each element is computed by the expression tree
-    of `heun_step` and `_drift`, with no reassociation: hz = thz + Hk mz,
+    of the reference `heun_step`, with no reassociation: hz = thz + Hk mz,
     g = c (m x H) (+ torque on z), m.g = (mx gx + my gy) + mz gz,
     d = ((g + alpha (m x g)) + (alpha^2 m.g) m) / (1 + alpha^2),
     m + (0.5 dt)(d1 + d2), and |m| = sqrt((x^2 + y^2) + z^2). Only
@@ -153,8 +118,8 @@ class GridHeun:
         self._d2 = (self.d2[0], self.d2[1], self.d2[2])
 
     def _drift(self, m, out: np.ndarray) -> None:
-        """out = `_drift` of the state with bound views m under its
-        effective field; h must already hold the thermal x, y rows."""
+        """out = the reference `drift` of the state with bound views m under
+        its effective field; h must already hold the thermal x, y rows."""
         mz, m3, m_yzx, m_zxy = m[:4]
         hz, h_yzx, h_zxy, thz = self._field
         g3, gz, g_yzx, g_zxy, g_tail, g_head = self._g
@@ -218,9 +183,10 @@ def t0_crossing_step(p: MagnetParams, Is: float, level: float, horizon: float,
     Starts T0_TILT_DEG off +z toward +x under Is and runs round(horizon /
     dt) steps. At T = 0 the tilt only grows or only decays, so a tilt below
     0.3 of its start while m_z > 0 (checked every 1,000 steps) ends it with
-    None. Bit for bit with `heun_step` at zero thermal field: the products
-    of hx = hy = 0 are exact zeros and are left out, gy = c (-mx hz) is
-    gm (mx hz), and the rest is `_drift` and `heun_step`, op for op.
+    None. Bit for bit with the reference `heun_step` of
+    tests/llg_reference.py at zero thermal field: the products of hx = hy
+    = 0 are exact zeros and are left out, gy = c (-mx hz) is gm (mx hz),
+    and the rest is the reference `drift` and `heun_step`, op for op.
     """
     if dt > MAX_DT:
         raise ValueError(f"dt = {dt} exceeds stability guard {MAX_DT}")
@@ -293,8 +259,9 @@ def switch_times(p: MagnetParams, Is: float, seeds,
     own make_rng(seed, STREAM_SWITCH); its time is the first (step + 1) dt
     with m_z <= -mz_threshold, None after t_max. `Is` must oppose the +z
     start. A member that has crossed steps on, on stale samples, until all
-    have. Bit-identity contract: each time equals that of a `heun_step`
-    loop fed rng.standard_normal(3) * sigma per step. Samples come
+    have. Bit-identity contract: each time equals that of a loop of the
+    reference `heun_step` of tests/llg_reference.py fed
+    rng.standard_normal(3) * sigma per step. Samples come
     SWITCH_BLOCK steps at a time into a (SWITCH_BLOCK, 3) slice, scaled in
     place; a generator yields one stream of normals, so one call for 3 k
     values gives the bits of k calls for 3, in order.

@@ -18,13 +18,13 @@ operator that `core.template_operator` builds once per member, rebuilt
 only when a logic output flips. `GridStepper.currents` is the one place
 that sums the synapses' spin currents; `net_currents` reads it for one
 grid. Bit-identity contract: every member's trajectory equals, bit for
-bit, the plain loop of `dynamics.heun_step` on its own (rows, cols, 3)
-layout, with one make_rng(seed, STREAM_LLG, n) draw per step n and the
-drive rebuilt from the logic outputs after every step, whatever the
-other members of its ensemble. That draw depends on the seed and n alone,
-so the stepper keeps one Philox generator per distinct seed, and the
-running members on one seed share each step's sample: it is drawn once
-and copied to the others.
+bit, the plain loop of the reference `heun_step` of tests/llg_reference.py
+on its own (rows, cols, 3) layout, with one make_rng(seed, STREAM_LLG, n)
+draw per step n and the drive rebuilt from the logic outputs after every
+step, whatever the other members of its ensemble. That draw depends on
+the seed and n alone, so the stepper keeps one Philox generator per
+distinct seed, and the running members on one seed share each step's
+sample: it is drawn once and copied to the others.
 """
 
 from __future__ import annotations
@@ -91,13 +91,6 @@ class CnnGrid:
         m = np.zeros((initial.rows, initial.cols, 3))
         m[:, :, 2] = state
         return cls(m, inputs.to_array().astype(float), templates)
-
-    @classmethod
-    def recall(cls, cue: Pattern, templates: TemplateSet) -> "CnnGrid":
-        """Associative recall: the cue is both the initial state and the input."""
-        if templates.kind != "space-varying":
-            raise ValueError("associative recall needs space-varying templates")
-        return cls.from_pattern(cue, cue, templates)
 
     def logic_pattern(self, model: CellModel) -> Pattern:
         return Pattern.from_array(model.logic(self.m[:, :, 2]))

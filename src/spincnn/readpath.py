@@ -27,18 +27,27 @@ class MtjParams:
     V_read: float = 0.7          # [V]
 
     def __post_init__(self):
-        for name in ("t_ox_ref", "t_ox_read"):
-            t_ox = getattr(self, name)
-            if not T_OX_MIN <= t_ox <= T_OX_MAX:
-                raise ValueError(f"{name} = {t_ox:g} m outside the resistance "
-                                 f"model's validity window [{T_OX_MIN:g}, "
-                                 f"{T_OX_MAX:g}] m")
         if self.R_P_at_2nm <= 0 or self.lambda_ox <= 0:
             raise ValueError("R_P_at_2nm and lambda_ox must be > 0")
         if self.TMR <= 0:
             raise ValueError("TMR must be > 0")
         if self.V_read <= 0:
             raise ValueError("V_read must be > 0")
+        for name in ("t_ox_ref", "t_ox_read"):
+            t_ox = getattr(self, name)
+            if not T_OX_MIN <= t_ox <= T_OX_MAX:
+                raise ValueError(f"{name} = {t_ox:g} m outside the resistance "
+                                 f"model's validity window [{T_OX_MIN:g}, "
+                                 f"{T_OX_MAX:g}] m")
+            x = (t_ox - 2e-9) / self.lambda_ox
+            r_p = self.R_P_at_2nm * math.exp(x) if x <= EXP_MAX else math.inf
+            r_ap = r_p * (1.0 + self.TMR)
+            if not (sys.float_info.min <= r_p and r_ap <= sys.float_info.max):
+                raise ValueError(f"lambda_ox = {self.lambda_ox:g} m with "
+                                 f"{name} = {t_ox:g} m leaves the float "
+                                 "range: R_P = R_P_at_2nm exp((t_ox - 2 nm) "
+                                 f"/ lambda_ox) = {r_p:.3g} ohm, R_AP = R_P "
+                                 f"(1 + tmr) = {r_ap:.3g} ohm")
 
 
 # Default switching threshold: the divider voltage of the default MTJ
@@ -66,8 +75,8 @@ def mtj_resistance(p: MtjParams, t_ox: float, mz: float) -> float:
     """Junction resistance [ohm]; conductance linear in m_z between P and AP.
 
     R_P grows exponentially with oxide thickness; the TMR is held at its
-    2 nm value. t_ox is one of p's thicknesses, inside the validity window
-    that `MtjParams` checks.
+    2 nm value. t_ox is one of p's thicknesses, whose validity window and
+    float range `MtjParams` checks.
     """
     r_p = p.R_P_at_2nm * math.exp((t_ox - 2e-9) / p.lambda_ox)
     r_ap = r_p * (1.0 + p.TMR)

@@ -1,0 +1,55 @@
+"""The stochastic LLG Heun step written out in NumPy: the bit contract of
+`dynamics.GridHeun` and `dynamics.t0_crossing_step`.
+
+The program steps magnets only through those two. This module is their
+written spec: each element of a `GridHeun` step, and each scalar of a
+`t0_crossing_step` at zero thermal field, goes through the floating-point
+operations of `heun_step` and `drift` below in the same order, so the
+bit-identity tests compare them with this step, never with themselves.
+"""
+
+import numpy as np
+
+from spincnn.constants import GAMMA, MU0
+
+
+def effective_field(m: np.ndarray, p, thermal: np.ndarray) -> np.ndarray:
+    """Uniaxial easy-axis field (0, 0, Hk m_z) plus the thermal sample."""
+    m = np.asarray(m, dtype=float)
+    H = np.array(thermal, dtype=float, copy=True)
+    H[..., 2] += p.Hk * m[..., 2]
+    return H
+
+
+def drift(m: np.ndarray, H: np.ndarray, torque_z, alpha: float) -> np.ndarray:
+    """Explicit dm/dt for magnetization(s) m under total field H [A/m].
+
+    Works on any (..., 3) shape; torque_z may be scalar or broadcastable to
+    the leading shape. The implicit Gilbert term is solved algebraically:
+    D = [G + alpha (m x G) + alpha^2 (m.G) m] / (1 + alpha^2), G the
+    precession plus the torque on z.
+    """
+    mx, my, mz = m[..., 0], m[..., 1], m[..., 2]
+    hx, hy, hz = H[..., 0], H[..., 1], H[..., 2]
+    c = -GAMMA * MU0
+    gx = c * (my * hz - mz * hy)
+    gy = c * (mz * hx - mx * hz)
+    gz = c * (mx * hy - my * hx) + torque_z
+    mdotg = mx * gx + my * gy + mz * gz
+    a2 = alpha * alpha
+    out = np.empty(np.broadcast(m, H).shape)
+    out[..., 0] = gx + alpha * (my * gz - mz * gy) + a2 * mdotg * mx
+    out[..., 1] = gy + alpha * (mz * gx - mx * gz) + a2 * mdotg * my
+    out[..., 2] = gz + alpha * (mx * gy - my * gx) + a2 * mdotg * mz
+    out /= 1.0 + a2
+    return out
+
+
+def heun_step(m: np.ndarray, p, torque_z, thermal: np.ndarray,
+              dt: float) -> np.ndarray:
+    """One renormalized Heun step; thermal sample shared by both stages."""
+    d1 = drift(m, effective_field(m, p, thermal), torque_z, p.alpha)
+    mp = m + dt * d1
+    d2 = drift(mp, effective_field(mp, p, thermal), torque_z, p.alpha)
+    out = m + 0.5 * dt * (d1 + d2)
+    return out / np.linalg.norm(out, axis=-1, keepdims=True)

@@ -175,6 +175,11 @@ class TestSimulate:
          "leaves a zero junction conductance at m_z = -1"),
         ("[mtj]\ntmr = 1e-300\n", "[mtj]: tmr = 1e-300 leaves a zero "
          "conductance swing"),
+        ("[mtj]\ntmr = 0.1\n", "[inverter] v_th: logic boundary at m_z = "
+         "-5.769 with [mtj] v_read = 0.7 V, tmr = 0.1, t_ox_ref = 2e-09 m, "
+         "t_ox_read = 2e-09 m and lambda_ox = 2e-10 m, outside (-1, 1)"),
+        ("[mtj]\nlambda_ox = 1e-300\nt_ox_ref = 2.1e-9\n", "[mtj]: lambda_ox "
+         "= 1e-300 m with t_ox_ref = 2.1e-09 m leaves the float range"),
     ])
     def test_rejected_config_names_file_and_key(self, tmp_path, capsys,
                                                 text, named):
@@ -387,6 +392,18 @@ class TestOracle:
         assert header[0] == "mz"
         assert sum(1 for h in header if h.startswith("v_out")) == 3
         assert "monotone in mz: yes" in out
+
+    def test_read_curve_out_of_float_range_names_the_key(self, tmp_path,
+                                                         capsys):
+        # the config's 2 nm junctions are in range; the curve's 1.9 nm
+        # junction has R_P = 0, which its MtjParams rejects
+        cfg = tmp_path / "mtj.cfg"
+        cfg.write_text("[mtj]\nlambda_ox = 1e-300\n")
+        assert main(["oracle", "read-curve", "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "error: lambda_ox = 1e-300 m with t_ox_ref = 1.9e-09 m leaves the "
+            "float range: R_P = R_P_at_2nm exp((t_ox - 2 nm) / lambda_ox) = 0 "
+            "ohm, R_AP = R_P (1 + tmr) = 0 ohm"]
 
     def test_switch_stats_agrees(self, capsys):
         assert main(["oracle", "switch-stats"]) == 0

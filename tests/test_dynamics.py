@@ -12,30 +12,34 @@ from spincnn.constants import GAMMA, KB, MU0, Q
 from spincnn.core import STREAM_SWITCH, MagnetParams, SimConfig, make_rng
 from spincnn.dynamics import (T0_TILT_DEG, GridHeun,
                               analytic_critical_current, critical_spin_current,
-                              effective_field, heun_step, stt_rate,
-                              switch_times, t0_crossing_step, thermal_sigma)
+                              heun_step, stt_rate, switch_times,
+                              t0_crossing_step, thermal_sigma)
+
+import llg_reference as ref
 
 P = MagnetParams()
 RNG = np.random.default_rng  # only for test-local inputs, never for physics
 
 
 class TestEffectiveField:
+    """The field term of the reference step, the kernels' bit contract."""
+
     def test_easy_axis_up(self):
-        H = effective_field(np.array([0.0, 0.0, 1.0]), P, np.zeros(3))
+        H = ref.effective_field(np.array([0.0, 0.0, 1.0]), P, np.zeros(3))
         assert H == pytest.approx([0.0, 0.0, P.Hk])
         assert H[2] == pytest.approx(1.90986e5, rel=1e-4)
 
     def test_odd_symmetry(self):
-        H = effective_field(np.array([0.0, 0.0, -1.0]), P, np.zeros(3))
+        H = ref.effective_field(np.array([0.0, 0.0, -1.0]), P, np.zeros(3))
         assert H[2] == pytest.approx(-P.Hk)
 
     def test_in_plane_gives_zero(self):
-        H = effective_field(np.array([1.0, 0.0, 0.0]), P, np.zeros(3))
+        H = ref.effective_field(np.array([1.0, 0.0, 0.0]), P, np.zeros(3))
         assert np.allclose(H, 0.0)
 
     def test_thermal_added(self):
         thermal = np.array([1.0, 2.0, 3.0])
-        H = effective_field(np.array([0.0, 0.0, 1.0]), P, thermal)
+        H = ref.effective_field(np.array([0.0, 0.0, 1.0]), P, thermal)
         assert H == pytest.approx([1.0, 2.0, 3.0 + P.Hk])
 
 
@@ -59,17 +63,33 @@ class TestThermalField:
             thermal_sigma(P, SimConfig(temperature=-1.0))
 
 
+def one_magnet(m, p, dt, torque=0.0):
+    """A one-magnet `GridHeun` started at m under `torque`, stepped in
+    place; its state is heun.m[:3, 0]."""
+    heun = GridHeun(np.array([m], dtype=float), p, dt)
+    heun.torque[...] = torque
+    return heun
+
+
 def thermal_step(m, Is, T, rng, dt=1e-12):
-    """One `heun_step` under spin current Is with a fresh thermal sample."""
+    """One `GridHeun` step under spin current Is with a fresh thermal
+    sample, checked bit for bit against the reference step."""
+    torque = stt_rate(P, Is)
     thermal = rng.standard_normal(3) * thermal_sigma(
         P, SimConfig(dt=dt, temperature=T))
-    return heun_step(m, P, stt_rate(P, Is), thermal, dt)
+    heun = one_magnet(m, P, dt, torque)
+    heun.noise[0] = thermal
+    heun.step()
+    assert np.array_equal(heun.m[:3, 0],
+                          ref.heun_step(m, P, torque, thermal, dt))
+    return heun.m[:3, 0]
 
 
 class TestLlgStep:
     def test_pole_is_fixed_point(self):
-        m = heun_step(np.array([0.0, 0.0, 1.0]), P, 0.0, np.zeros(3), 1e-12)
-        assert m == pytest.approx([0.0, 0.0, 1.0], abs=1e-12)
+        heun = one_magnet([0.0, 0.0, 1.0], P, 1e-12)
+        heun.step()
+        assert heun.m[:3, 0] == pytest.approx([0.0, 0.0, 1.0], abs=1e-12)
 
     def test_determinism(self):
         m0 = np.array([0.6, 0.0, 0.8])
@@ -90,13 +110,13 @@ class TestLlgStep:
         # zero damping, zero torque, zero temperature: pure precession
         p = MagnetParams(alpha=1e-12)  # alpha=0 disallowed; negligible damping
         theta = math.radians(10.0)
-        m = np.array([math.sin(theta), 0.0, math.cos(theta)])
         dt = 1e-13
         n = 10000  # 1 ns
+        heun = one_magnet([math.sin(theta), 0.0, math.cos(theta)], p, dt)
         phases = []
         for _ in range(n):
-            m = heun_step(m, p, 0.0, np.zeros(3), dt)
-            phases.append(math.atan2(m[1], m[0]))
+            heun.step()
+            phases.append(math.atan2(heun.m[1, 0], heun.m[0, 0]))
         unwrapped = np.unwrap(phases)
         f_sim = abs(unwrapped[-1] - unwrapped[0]) / (2 * math.pi * (n - 1) * dt)
         f_exp = GAMMA * MU0 * p.Hk * math.cos(theta) / (2 * math.pi)
@@ -105,22 +125,23 @@ class TestLlgStep:
     def test_energy_conserved_without_damping(self):
         p = MagnetParams(alpha=1e-12)
         theta = math.radians(30.0)
-        m = np.array([math.sin(theta), 0.0, math.cos(theta)])
-        e0 = p.Ku * p.volume * (1.0 - m[2] ** 2)
+        heun = one_magnet([math.sin(theta), 0.0, math.cos(theta)], p, 1e-13)
+        e0 = p.Ku * p.volume * (1.0 - heun.m[2, 0] ** 2)
         for _ in range(10 ** 4):
-            m = heun_step(m, p, 0.0, np.zeros(3), 1e-13)
-        e1 = p.Ku * p.volume * (1.0 - m[2] ** 2)
+            heun.step()
+        e1 = p.Ku * p.volume * (1.0 - heun.m[2, 0] ** 2)
         assert abs(e1 - e0) / e0 <= 1e-6
 
     def test_supercritical_switches(self):
         tilt = math.radians(1.0)
-        m = np.array([math.sin(tilt), 0.0, math.cos(tilt)])
         torque = stt_rate(P, -10 * analytic_critical_current(P))
+        heun = one_magnet([math.sin(tilt), 0.0, math.cos(tilt)], P, 1e-12,
+                          torque)
         for _ in range(5000):  # 5 ns
-            m = heun_step(m, P, torque, np.zeros(3), 1e-12)
-            if m[2] < -0.9:
+            heun.step()
+            if heun.m[2, 0] < -0.9:
                 break
-        assert m[2] < -0.9
+        assert heun.m[2, 0] < -0.9
 
 
 class TestCriticalCurrent:
@@ -173,7 +194,8 @@ class TestCriticalCurrent:
 @pytest.mark.parametrize("T", [0.0, 300.0])
 def test_grid_heun_equals_heun_step_loop(shape, per_cell, T):
     # the kernel on its owned noise and torque buffers, step by step,
-    # against `heun_step` on the (*grid, 3) layout with the same inputs
+    # against the reference step on the (*grid, 3) layout with the same
+    # inputs
     rng = RNG(31)
     m = rng.normal(size=shape + (3,))
     m /= np.linalg.norm(m, axis=-1, keepdims=True)
@@ -188,16 +210,35 @@ def test_grid_heun_equals_heun_step_loop(shape, per_cell, T):
             else np.zeros(shape + (3,))
         heun.noise[...] = thermal
         heun.step()
-        m = heun_step(m, P, torque, thermal, 1e-12)
+        m = ref.heun_step(m, P, torque, thermal, 1e-12)
         assert np.array_equal(np.moveaxis(heun.m[:3], 0, -1), m)
         assert np.array_equal(heun.m[3:], heun.m[:2])
 
 
+@pytest.mark.parametrize("shape", [(), (30, 20), (16, 30, 20)])
+def test_heun_step_equals_reference_step(shape):
+    # the one-step wrapper that the perfbench micro-timings time, on their
+    # shapes, per-cell torque and 300 K noise
+    rng = RNG(7)
+    m = rng.normal(size=shape + (3,))
+    m /= np.linalg.norm(m, axis=-1, keepdims=True)
+    torque = stt_rate(P, 10 * analytic_critical_current(P)) \
+        * rng.choice((-1.0, 1.0), shape)
+    sigma = thermal_sigma(P, SimConfig())
+    got = m
+    for _ in range(20):
+        thermal = rng.standard_normal(shape + (3,)) * sigma
+        got = heun_step(got, P, torque, thermal, 1e-12)
+        m = ref.heun_step(m, P, torque, thermal, 1e-12)
+        assert got.shape == shape + (3,)
+        assert np.array_equal(got, m)
+
+
 def reference_switch_time(p, Is, seed, cfg, tilt_deg=0.0, trace=None):
-    """One magnet stepped by `heun_step` with a per-step thermal draw of
-    standard_normal(3) * sigma at the temperature of `cfg`; at T = 0 and
-    a tilted start this is the
-    loop that `t0_crossing_step` unrolls. Appends each m_z to `trace`."""
+    """One magnet stepped by the reference `heun_step` with a per-step
+    thermal draw of standard_normal(3) * sigma at the temperature of `cfg`;
+    at T = 0 and a tilted start this is the loop that `t0_crossing_step`
+    unrolls. Appends each m_z to `trace`."""
     rng = make_rng(seed, STREAM_SWITCH)
     tilt = math.radians(tilt_deg)
     m = np.array([math.sin(tilt), 0.0, math.cos(tilt)])
@@ -205,7 +246,7 @@ def reference_switch_time(p, Is, seed, cfg, tilt_deg=0.0, trace=None):
     sigma = thermal_sigma(p, cfg)
     for n in range(1, int(round(cfg.t_max / cfg.dt)) + 1):
         thermal = rng.standard_normal(3) * sigma if sigma else np.zeros(3)
-        m = heun_step(m, p, torque, thermal, cfg.dt)
+        m = ref.heun_step(m, p, torque, thermal, cfg.dt)
         if trace is not None:
             trace.append(m[2])
         if m[2] <= -cfg.mz_threshold:
@@ -267,7 +308,7 @@ class TestSwitchTime:
 
 
 class TestT0Crossing:
-    """The scalar T = 0 loop of the oracles against the `heun_step` loop."""
+    """The scalar T = 0 loop of the oracles against the reference loop."""
 
     @pytest.mark.parametrize("mult", [3, 5, 10, 20])
     def test_bit_identical_to_reference_loop(self, mult):

@@ -11,8 +11,7 @@ from hypothesis import strategies as st
 from spincnn import load_glyph
 from spincnn.core import (STREAM_LLG, MagnetParams, Pattern, SimConfig,
                           TemplateSet, add_noise, make_rng)
-from spincnn.dynamics import (analytic_critical_current, heun_step, stt_rate,
-                              thermal_sigma)
+from spincnn.dynamics import analytic_critical_current, stt_rate, thermal_sigma
 from spincnn.network import (BOUNDARY_MINUS_ONE, BOUNDARY_ZERO_FLUX,
                              CellModel, CnnGrid, GridStepper, hebbian_train,
                              load_templates, net_currents,
@@ -21,6 +20,8 @@ from spincnn.network import (BOUNDARY_MINUS_ONE, BOUNDARY_ZERO_FLUX,
 from spincnn.readpath import InverterModel
 from spincnn.synapse import LEVELS_PER_UNIT_WEIGHT, representable_weights
 from spincnn.transport import ChannelParams, spin_transmission
+
+import llg_reference as ref
 
 IC = analytic_critical_current(MagnetParams())
 MODEL = CellModel(i0=10 * IC)
@@ -265,13 +266,9 @@ class TestHebbianTraining:
         three, four = load_glyph("three"), load_glyph("four")
         t = hebbian_train([(one, two), (three, four)])
         cfg = SimConfig(seed=0, t_max=15e-9)
-        traj = run(CnnGrid.recall(one, t), cfg, MODEL)
+        traj = run(CnnGrid.from_pattern(one, one, t), cfg, MODEL)
         assert traj.converged
         assert traj.final_pattern == two
-
-    def test_space_invariant_templates_rejected_for_recall(self):
-        with pytest.raises(ValueError, match="space-varying"):
-            CnnGrid.recall(load_glyph("one"), noise_filter_templates())
 
 
 class TestTemplateFiles:
@@ -331,10 +328,11 @@ def test_logic_pattern_reads_poles():
 
 
 def reference_run(grid, cfg, model):
-    """`run` written out from the public single-path pieces: heun_step on
-    the (rows, cols, 3) layout, one make_rng(seed, STREAM_LLG, n) draw per
-    step and the drive recomputed after every step by `reference_drive`,
-    the slice loop that shares no code with `core.template_operator`."""
+    """`run` written out from the public single-path pieces: the reference
+    `heun_step` on the (rows, cols, 3) layout, one make_rng(seed,
+    STREAM_LLG, n) draw per step and the drive recomputed after every step
+    by `reference_drive`, the slice loop that shares no code with
+    `core.template_operator`."""
     p, m = model.magnet, grid.m.copy()
     sigma = thermal_sigma(p, cfg)
     sample_every = max(int(round(cfg.sample_interval / cfg.dt)), 1)
@@ -359,7 +357,7 @@ def reference_run(grid, cfg, model):
     for n in range(1, n_steps + 1):
         thermal = make_rng(cfg.seed, STREAM_LLG, n - 1).standard_normal(
             m.shape) * sigma if sigma else np.zeros(m.shape)
-        m = heun_step(m, p, stt_rate(p, Is), thermal, cfg.dt)
+        m = ref.heun_step(m, p, stt_rate(p, Is), thermal, cfg.dt)
         t = n * cfg.dt
         if n % sample_every == 0 or n == n_steps:
             times.append(t)

@@ -19,6 +19,7 @@ grouped, nor on the number of worker processes.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, replace as dc_replace
 
 import numpy as np
@@ -201,8 +202,9 @@ def sweep_parts(s: Scenario, voltages, sizes, seeds, cfg: SimConfig,
 
     Every point is one member of a grid ensemble (`network.run_many`,
     without frames). The points are dealt round-robin into min(jobs,
-    points) ensembles, so that the long sub-critical points spread over
-    them; with jobs > 1 the ensembles run in a pool of worker processes.
+    points, usable CPUs) ensembles, so that the long sub-critical points
+    spread over them; with more than one, the ensembles run in a pool of
+    worker processes.
     Each member's run is bit for bit the one it gets alone, so the records
     do not depend on `jobs`.
     """
@@ -212,6 +214,8 @@ def sweep_parts(s: Scenario, voltages, sizes, seeds, cfg: SimConfig,
     points = [(v, size, seed) for v in voltages for size in sizes
               for seed in seeds]
     n_chunks = min(jobs, len(points))
+    if n_chunks > 1:
+        n_chunks = min(n_chunks, len(os.sched_getaffinity(0)))
     chunks = [(s, points[k::n_chunks], cfg, base_model, drive, ep)
               for k in range(n_chunks)]
     if n_chunks > 1:

@@ -17,14 +17,14 @@ renormalization of m.
 Sign convention: positive spin current drives m_z toward +1.
 
 `GridHeun` is the one vector Heun step: it steps a grid of magnets in
-place, and an ensemble of single magnets as a one-axis grid, which is how
-`switch_times` runs its thermal realisations. `t0_crossing_step`, the one
-T = 0 loop of the critical-current bisection and the switch-stats oracle,
-unrolls the same step in scalar floats at zero thermal field: one magnet
-is all NumPy dispatch, ~34 us per step in a one-magnet `GridHeun` against
-~1.1 us there (Python 3.11, NumPy 2.4, 2 shared cores). The bit contract
-of both is the NumPy step of tests/llg_reference.py: every element goes
-through its floating-point operations in the same order.
+place. A single magnet is all NumPy dispatch there, ~36 us per step for
+one magnet and ~41 us for 20, so the single-magnet paths unroll the same
+step in scalar floats: `t0_crossing_step`, the T = 0 loop of the
+critical-current bisection and the switch-stats oracle, at ~1.2 us per
+step, and `switch_times`, one thermal realisation at a time, at ~1.6 us
+per step with its draw (Python 3.11, NumPy 2.4, 2 shared cores). The bit
+contract of all three is the NumPy step of tests/llg_reference.py: every
+element goes through its floating-point operations in the same order.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ import numpy as np
 from .constants import GAMMA, KB, MU0, Q
 from .core import MAX_DT, MagnetParams, SimConfig, make_rng, STREAM_SWITCH
 
-SWITCH_BLOCK = 256  # thermal samples drawn per switch_times member at a time
+SWITCH_BLOCK = 256  # thermal samples drawn per switch_times seed at a time
 T0_TILT_DEG = 1.0  # start of the T = 0 probes off +z, a fixed point [deg]
 CRITICAL_REL_TOL = 0.01  # bracket width of the critical-current bisection
 
@@ -73,7 +73,9 @@ def heun_step(m: np.ndarray, p: MagnetParams, torque_z, thermal: np.ndarray,
 
 class GridHeun:
     """In-place Heun stepper for a grid of magnets, bit-identical to the
-    reference step of tests/llg_reference.py.
+    reference step of tests/llg_reference.py. Every grid run steps on it,
+    and so does the one-step `heun_step`; single magnets run in the scalar
+    loops `t0_crossing_step` and `switch_times` instead.
 
     State and fields live in cyclic component-first buffers of shape
     (5, *grid), rows x, y, z, x, y; the grid has at least one axis.
@@ -255,39 +257,54 @@ def switch_times(p: MagnetParams, Is: float, seeds,
     """First-passage times of m_z through -mz_threshold [s] at the
     temperature of `cfg`, one per seed.
 
-    Each seed is a member of one `GridHeun` ensemble started at +z, with its
-    own make_rng(seed, STREAM_SWITCH); its time is the first (step + 1) dt
-    with m_z <= -mz_threshold, None after t_max. `Is` must oppose the +z
-    start. A member that has crossed steps on, on stale samples, until all
-    have. Bit-identity contract: each time equals that of a loop of the
-    reference `heun_step` of tests/llg_reference.py fed
-    rng.standard_normal(3) * sigma per step. Samples come
-    SWITCH_BLOCK steps at a time into a (SWITCH_BLOCK, 3) slice, scaled in
-    place; a generator yields one stream of normals, so one call for 3 k
-    values gives the bits of k calls for 3, in order.
+    Each seed runs alone from +z in scalar floats on its own
+    make_rng(seed, STREAM_SWITCH) and stops at its first crossing: its time
+    is n dt for the first step n that leaves m_z <= -mz_threshold, None
+    after t_max. `Is` must oppose the +z start. Bit-identity contract: each
+    time equals that of a loop of the reference `heun_step` of
+    tests/llg_reference.py fed rng.standard_normal(3) * sigma per step, and
+    each step is that step op for op, as in `t0_crossing_step` but with
+    the thermal hx and hy. Samples come SWITCH_BLOCK steps at a time into a
+    (SWITCH_BLOCK, 3) buffer, scaled in place and read as floats; a
+    generator yields one stream of normals, so one call for 3 k values
+    gives the bits of k calls for 3, in order.
     """
     if Is >= 0:
         raise ValueError("Is must oppose the initial +z orientation")
-    n = len(seeds)
-    heun = GridHeun(np.tile([0.0, 0.0, 1.0], (n, 1)), p, cfg.dt)
-    heun.torque[...] = stt_rate(p, Is)
-    sigma = thermal_sigma(p, cfg)
-    pending = {k: make_rng(seed, STREAM_SWITCH) for k, seed in enumerate(seeds)}
-    noise, mz = np.zeros((n, SWITCH_BLOCK, 3)), np.empty((SWITCH_BLOCK, n))
-    times: list[float | None] = [None] * n
-    n_steps = int(round(cfg.t_max / cfg.dt))
-    for start in range(0, n_steps, SWITCH_BLOCK):
-        for k, rng in pending.items() if sigma else ():
-            rng.standard_normal(out=noise[k])
-            noise[k] *= sigma
-        for j in range(min(SWITCH_BLOCK, n_steps - start)):
-            heun.noise[...] = noise[:, j]
-            heun.step()
-            mz[j] = heun.m[2]
-        crossed = mz[:n_steps - start] <= -cfg.mz_threshold
-        for k in [k for k in pending if crossed[:, k].any()]:
-            times[k] = (start + int(crossed[:, k].argmax()) + 1) * cfg.dt
-            del pending[k]
-        if not pending:
-            break
+    alpha, hk, tz, dt = p.alpha, p.Hk, stt_rate(p, Is), cfg.dt
+    c, a2, half_dt = -GAMMA * MU0, alpha * alpha, 0.5 * dt
+    k, sigma, level = 1.0 + a2, thermal_sigma(p, cfg), -cfg.mz_threshold
+    n_steps = int(round(cfg.t_max / dt))
+    noise, times = np.zeros((SWITCH_BLOCK, 3)), []
+    for seed in seeds:
+        rng, n, mx, my, mz = make_rng(seed, STREAM_SWITCH), 0, 0.0, 0.0, 1.0
+        while n < n_steps and mz > level:
+            if sigma:
+                rng.standard_normal(out=noise)
+                noise *= sigma
+            for hx, hy, thz in noise[:n_steps - n].tolist():
+                n += 1
+                hz = thz + hk * mz                 # predictor drift d1
+                gx, gy = c * (my * hz - mz * hy), c * (mz * hx - mx * hz)
+                gz = c * (mx * hy - my * hx) + tz
+                s = a2 * (mx * gx + my * gy + mz * gz)
+                d1x = (gx + alpha * (my * gz - mz * gy) + s * mx) / k
+                d1y = (gy + alpha * (mz * gx - mx * gz) + s * my) / k
+                d1z = (gz + alpha * (mx * gy - my * gx) + s * mz) / k
+                px, py, pz = mx + dt * d1x, my + dt * d1y, mz + dt * d1z
+                hz = thz + hk * pz                 # corrector drift d2
+                gx, gy = c * (py * hz - pz * hy), c * (pz * hx - px * hz)
+                gz = c * (px * hy - py * hx) + tz
+                s = a2 * (px * gx + py * gy + pz * gz)
+                d2x = (gx + alpha * (py * gz - pz * gy) + s * px) / k
+                d2y = (gy + alpha * (pz * gx - px * gz) + s * py) / k
+                d2z = (gz + alpha * (px * gy - py * gx) + s * pz) / k
+                mx += half_dt * (d1x + d2x)
+                my += half_dt * (d1y + d2y)
+                mz += half_dt * (d1z + d2z)
+                norm = math.sqrt(mx * mx + my * my + mz * mz)
+                mx, my, mz = mx / norm, my / norm, mz / norm
+                if mz <= level:
+                    break
+        times.append(n * dt if mz <= level else None)
     return times

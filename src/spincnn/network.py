@@ -424,6 +424,9 @@ def load_templates(text: str) -> TemplateSet:
         rows, cols = (int(v) for v in lines[0].split())
     except (ValueError, IndexError) as exc:
         raise ValueError("template file: bad header line") from exc
+    if rows < 1 or cols < 1:
+        raise ValueError(f"template file: header rows = {rows}, cols = "
+                         f"{cols}: both must be positive")
     if len(lines) != 1 + rows * cols:
         raise ValueError(f"template file: expected {rows * cols} cell lines, "
                          f"got {len(lines) - 1}")

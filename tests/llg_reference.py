@@ -1,11 +1,13 @@
 """The stochastic LLG Heun step written out in NumPy: the bit contract of
-`dynamics.GridHeun` and `dynamics.t0_crossing_step`.
+`dynamics.GridHeun`, `dynamics.t0_crossing_step` and
+`dynamics.switch_times`.
 
-The program steps magnets only through those two. This module is their
-written spec: each element of a `GridHeun` step, and each scalar of a
-`t0_crossing_step` at zero thermal field, goes through the floating-point
-operations of `heun_step` and `drift` below in the same order, so the
-bit-identity tests compare them with this step, never with themselves.
+The program steps magnets only through those three. This module is their
+written spec: each element of a `GridHeun` step, each scalar of a
+`switch_times` step, and each scalar of a `t0_crossing_step` at zero
+thermal field, goes through the floating-point operations of `heun_step`
+and `drift` below in the same order, so the bit-identity tests compare
+them with this step, never with themselves.
 """
 
 import numpy as np

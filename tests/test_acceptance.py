@@ -471,7 +471,9 @@ def test_criterion_10_cmos_baseline():
 # criterion 11: determinism
 
 
-def test_criterion_11_determinism(tmp_path):
+def test_criterion_11_determinism(tmp_path, monkeypatch):
+    # two usable CPUs on any host, so that --jobs 2 opens a pool
+    monkeypatch.setattr("os.sched_getaffinity", lambda pid: {0, 1})
     cfg = tmp_path / "fast.cfg"
     cfg.write_text("[sim]\ndt = 2e-12\nt_max = 8e-9\nhold_time = 0.2e-9\n")
 

@@ -1,6 +1,8 @@
 """Energy/delay/area accounting, sweep aggregation, Pareto extraction and
 the calibrated CMOS comparison."""
 
+import os
+
 import numpy as np
 import pytest
 
@@ -210,9 +212,11 @@ class TestScenario:
         assert recs[0]["energy"] > 0
 
 
-def test_sweep_records_do_not_depend_on_jobs(sorted_sweep):
-    # 12 points: one ensemble, or chunks of 6 or 4 in worker processes;
+def test_sweep_records_do_not_depend_on_jobs(sorted_sweep, monkeypatch):
+    # 12 points: one ensemble, or chunks of 6 or 4 in worker processes
+    # (three usable CPUs, so that jobs = 3 makes 3 chunks on any host);
     # 0.05 V never settles, five points settle at different times
+    monkeypatch.setattr("os.sched_getaffinity", lambda pid: {0, 1, 2})
     s = Scenario("nf", load_glyph("zero"), noise_filter_templates(), 0.1)
     cfg = SimConfig(dt=2e-12, t_max=4e-9, hold_time=0.2e-9)
     runs = [sorted_sweep(s, [1.0, 0.05, 0.52], [1, 4], [0, 1], cfg, MODEL,
@@ -223,6 +227,22 @@ def test_sweep_records_do_not_depend_on_jobs(sorted_sweep):
          for seed in (0, 1)]
     assert not any(r.converged for r in runs[0][:4])
     assert len({r.delay for r in runs[0] if r.converged}) >= 4
+
+
+def test_sweep_pool_is_capped_at_usable_cpus(sorted_sweep, monkeypatch):
+    # --jobs 8 on 3 points with one usable CPU opens no worker pool; a
+    # serial sweep runs where the CPU affinity cannot be read
+    import multiprocessing
+
+    s = Scenario("nf", load_glyph("zero"), noise_filter_templates(), 0.1)
+    cfg = SimConfig(dt=2e-12, t_max=0.4e-9, hold_time=0.2e-9)
+    args = (s, [1.0, 0.05, 0.52], [1], [0], cfg, MODEL, DriveModel(), EP)
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    alone = sorted_sweep(*args)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0},
+                        raising=False)
+    monkeypatch.setattr(multiprocessing, "Pool", None)
+    assert sorted_sweep(*args, jobs=8) == alone
 
 
 def test_points_on_one_seed_match_their_runs_alone(sorted_sweep):

@@ -236,6 +236,20 @@ class TestSimulate:
         assert f"templates {tpl}: template file: cell line 3: level 3" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("header, rows, cols, cells", [
+        ("-1 -1", -1, -1, 1), ("2 -3", 2, -3, 0), ("0 5", 0, 5, 0)],
+        ids=["-1x-1", "2x-3", "0x5"])
+    def test_non_positive_template_header_names_rows_and_cols(
+            self, tmp_path, capsys, header, rows, cols, cells):
+        tpl = tmp_path / "bad.tpl"
+        tpl.write_text(header + "\n" + ("0 " * 18 + "0\n") * cells)
+        rc = main(["simulate", "--app", "assoc", "--templates", str(tpl),
+                   "--pattern", "one", "--out", str(tmp_path / "o")])
+        assert rc == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: templates {tpl}: template file: header rows = {rows}, "
+            f"cols = {cols}: both must be positive"]
+
 
 class TestTrain:
     def test_trained_file_roundtrips_through_simulate(self, tmp_path,
@@ -328,9 +342,10 @@ class TestSweep:
 
     def test_interrupted_sweep_writes_finished_ensembles(
             self, tmp_path, fast_config, monkeypatch, capsys):
-        # three points on three workers: one ensemble each; stop after the
-        # first ensemble returns
+        # three points on three workers: one ensemble each, with three
+        # usable CPUs on any host; stop after the first ensemble returns
         import spincnn.cli as cli
+        monkeypatch.setattr("os.sched_getaffinity", lambda pid: {0, 1, 2})
         sweep_parts = cli.sweep_parts
 
         def interrupted(*args, **kwargs):
@@ -351,7 +366,10 @@ class TestSweep:
         assert not (out / "pareto.csv").exists()
         assert "sweep.csv" in (out / "manifest.json").read_text()
 
-    def test_jobs_determinism(self, tmp_path, fast_config, capsys):
+    def test_jobs_determinism(self, tmp_path, fast_config, monkeypatch,
+                              capsys):
+        # two usable CPUs on any host, so that --jobs 2 opens a pool
+        monkeypatch.setattr("os.sched_getaffinity", lambda pid: {0, 1})
         args = ["sweep", "--config", fast_config,
                 "--voltages", "0.27,0.52,1.0", "--seeds", "0,1"]
         main(args + ["--jobs", "1", "--out", str(tmp_path / "a")])

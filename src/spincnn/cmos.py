@@ -8,8 +8,8 @@ The cell dynamics are
 
 integrated with classical RK4 on the grid, with -1 virtual cells outside
 it. The output function is the standard piecewise-linear saturation
-0.5 (|x+1| - |x-1|). The neighbour sums are W @ y + c from
-`core.template_operator`, built once per run, so B u + I is computed once.
+0.5 (|x+1| - |x-1|). The neighbour sums are W y + c: `core.template_operator`
+builds (W, c) once per run, B u + I in c, and `core.neighbour_sum` takes W y.
 
 A run stops through `core.settle`, the hold-and-sample loop of the
 spintronic grid, as a single member, once every cell is settled:
@@ -31,7 +31,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import BOUNDARY_MINUS_ONE, TemplateSet, settle, template_operator
+from .core import (BOUNDARY_MINUS_ONE, TemplateSet, neighbour_sum, settle,
+                   template_operator)
 
 # the process geometry of both sides: feature size F [m], unit width [F]
 FEATURE_SIZE = 16e-9
@@ -82,7 +83,7 @@ def _grid_derivative(x: np.ndarray, W, c: np.ndarray,
                      p: ChuaParams) -> np.ndarray:
     """dx/dt of every cell (Chua state equation divided by C); x is flat,
     row-major, and (W, c) come from `core.template_operator`."""
-    return (-x / p.R + (W @ f_output(x) + c)) / p.C
+    return (-x / p.R + (neighbour_sum(W, f_output(x)) + c)) / p.C
 
 
 def integrate(x0: np.ndarray, u: np.ndarray, templates, p: ChuaParams,
@@ -116,7 +117,8 @@ def integrate(x0: np.ndarray, u: np.ndarray, templates, p: ChuaParams,
     def settled():
         if not np.all(np.abs(x) >= 1.0):
             return [False]
-        return [bool(np.all(np.sign(x) * p.R * (W @ f_output(x) + c) >= 1.0))]
+        drive = neighbour_sum(W, f_output(x)) + c
+        return [bool(np.all(np.sign(x) * p.R * drive >= 1.0))]
 
     times, states, conv_time = [], [], None
 

@@ -11,7 +11,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy import sparse
 
 from .constants import MU0, MU_B
 
@@ -167,16 +166,16 @@ def neighbour_index(rows: int, cols: int, boundary: str) -> np.ndarray:
     return sliding_window_view(padded, (3, 3)).reshape(rows * cols, 9)
 
 
-def template_operator(templates: TemplateSet, u: np.ndarray,
-                      boundary: str) -> tuple[sparse.csr_array, np.ndarray]:
-    """(W, c) with W @ y + c the flat template drive of every cell,
-    sum(A y_neighbours) + sum(B u_neighbours) + I, for outputs y.
+def template_operator(templates: TemplateSet, u: np.ndarray, boundary: str
+                      ) -> tuple[tuple[np.ndarray, np.ndarray], np.ndarray]:
+    """(W, c) with neighbour_sum(W, y) + c the flat template drive of every
+    cell, sum(A y_neighbours) + sum(B u_neighbours) + I, for outputs y.
 
-    W is (N, N) with at most 9 nonzeros per row; the edge copies of the
-    zero-flux rule are summed into it. c holds B u + I and the -1 border
-    terms, since u is fixed for a run. With weights that are multiples of
-    1/4 and y, u in {-1, +1}, every partial sum is exact in float64, so any
-    summation order gives the same bits.
+    W = (w, idx): the A weights and the `neighbour_index` of every cell,
+    (9, N) each, with a zero weight on the minus-one border. c holds B u + I
+    and the -1 border terms, since u is fixed for a run. With weights that
+    are multiples of 1/4 and y, u in {-1, +1}, every partial sum is exact
+    in float64, so any summation order gives the same bits.
     """
     rows, cols = u.shape
     n = rows * cols
@@ -184,12 +183,19 @@ def template_operator(templates: TemplateSet, u: np.ndarray,
     a, b = A.reshape(n, 9), B.reshape(n, 9)
     idx = neighbour_index(rows, cols, boundary)
     border = idx == n
-    # the virtual border cell has output and input -1 in every step
+    # in c, the virtual border cell has output and input -1 in every step
     c = I.reshape(n) + (b * np.append(u, -1.0)[idx] - a * border).sum(axis=1)
-    keep = ~border & (a != 0.0)
-    cells = np.broadcast_to(np.arange(n)[:, None], idx.shape)
-    W = sparse.csr_array((a[keep], (cells[keep], idx[keep])), shape=(n, n))
-    return W, c
+    return (np.where(border, 0.0, a).T.copy(), idx.T.copy()), c
+
+
+def neighbour_sum(W: tuple, y: np.ndarray) -> np.ndarray:
+    """W y for outputs y of shape (N,) or (members, N), W = (w, idx) from
+    `template_operator` with w stacked to (members, 9, N) for members. The
+    sum runs over the tap axis, not the contiguous one, so the taps add in
+    row-major offset order, as in a row-by-row sparse product."""
+    w, idx = W
+    y = np.concatenate([y, np.zeros(y.shape[:-1] + (1,))], axis=-1)
+    return (np.take(y, idx, axis=-1) * w).sum(axis=-2)
 
 
 def settle(step, settled, sample, stop, dt: float, t_max: float,
@@ -288,11 +294,8 @@ def load_pattern(text: str) -> Pattern:
 
 
 def save_pattern(p: Pattern) -> str:
-    rows = []
-    for r in range(p.rows):
-        row = p.pixels[r * p.cols:(r + 1) * p.cols]
-        rows.append("".join("#" if v == 1 else "." for v in row))
-    return "\n".join(rows) + "\n"
+    return "".join("".join("#" if v == 1 else "." for v in row) + "\n"
+                   for row in p.to_array())
 
 
 def load_pattern_file(path) -> Pattern:

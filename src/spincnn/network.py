@@ -13,8 +13,8 @@ layout of `dynamics.GridHeun`, (5, members, rows, cols), and steps them in
 place; `core.settle` decides when each member has settled and hands it
 back, and the stepper then drops it, so the kernel's cost follows the
 members still running. `run` is the one-member case. The drive of every
-cell is i0 (W @ y + c) times the channel's delivered fraction, from the
-operator that `core.template_operator` builds once per member, rebuilt
+cell is i0 (W y + c) times the channel's delivered fraction, from the
+`core.template_operator` (W, c), summed by `core.neighbour_sum`, rebuilt
 only when a logic output flips. `GridStepper.currents` is the one place
 that sums the synapses' spin currents; `net_currents` reads it for one
 grid. Bit-identity contract: every member's trajectory equals, bit for
@@ -33,12 +33,11 @@ from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
-from scipy import sparse
 
 from . import dynamics
 from .core import (BOUNDARY_MINUS_ONE, BOUNDARY_ZERO_FLUX, STREAM_LLG,
                    MagnetParams, Pattern, SimConfig, TemplateSet, make_rng,
-                   neighbour_index, settle, template_operator)
+                   neighbour_index, neighbour_sum, settle, template_operator)
 from .readpath import InverterModel, MtjParams, logic_mz_boundary
 from .synapse import (LEVELS_PER_UNIT_WEIGHT, quantize_weight,
                       representable_weights)
@@ -124,7 +123,7 @@ class _Member:
     slot: int                     # position in the list of members
     seed: int
     i0: float
-    W: sparse.csr_array
+    W: tuple                      # (tap weights, neighbour index)
     c: np.ndarray
     initial: Pattern
     times: list = field(default_factory=list)
@@ -138,20 +137,20 @@ class GridStepper:
     A member is a (grid, cfg, model) triple. Members may differ in their
     grid (state, inputs and templates), in `cfg.seed` and in `model.i0`,
     and must share the grid shape and everything else. The magnets of the
-    running members sit in one `dynamics.GridHeun` of shape
-    (5, members, rows, cols) (`mz` is a live view of m_z). The drive of
-    every member is W @ y + c from its own `core.template_operator`,
-    stacked block-diagonally, times its own i0. The thermal sigma is shared
-    by all members. There is one Philox generator per
-    distinct seed, keyed by (seed, STREAM_LLG): step n, counted from 0,
-    resets its counter to n before the draw, which gives the bits of
-    make_rng(seed, STREAM_LLG, n). Members on one seed share each step's
-    sample: `draws` holds one entry per distinct running seed, which draws
-    straight into the slice of the first running member on that seed in
-    the kernel's (members, rows, cols, 3) `noise` buffer, and `copies`
-    names the slices that then take a copy of it. Both are rebuilt at
-    each compaction, so a draw passes to a member still running when the
-    member that drew it stops. `y` and `Is` hold the logic
+    running members sit in one `dynamics.GridHeun` of shape (5, members,
+    rows, cols) (`mz` is a live view of m_z). The drive of every member is
+    W y + c from its own `core.template_operator`, times its own i0; the
+    members share the neighbour index of W and stack its tap weights and
+    c. The thermal sigma is shared by all members. There is one Philox
+    generator per distinct seed, keyed by (seed, STREAM_LLG): step n,
+    counted from 0, resets its counter to n before the draw, which gives
+    the bits of make_rng(seed, STREAM_LLG, n). Members on one seed share
+    each step's sample: `draws` holds one entry per distinct running seed,
+    which draws straight into the slice of the first running member on
+    that seed in the kernel's (members, rows, cols, 3) `noise` buffer, and
+    `copies` names the slices that then take a copy of it. Both are
+    rebuilt at each compaction, so a draw passes to a member still running
+    when the member that drew it stops. `y` and `Is` hold the logic
     outputs and the drive they give, and each drive rebuild writes its
     torque into the kernel's `torque` buffer; `step` rebuilds the drive
     only when some output flips.
@@ -202,9 +201,8 @@ class GridStepper:
         """(Re)build the stacked buffers of the running members."""
         run = self.running
         self.mz = self.heun.m[2]
-        self.W = run[0].W if len(run) == 1 else \
-            sparse.block_diag([m.W for m in run], format="csr")
-        self.c = np.concatenate([m.c for m in run])
+        self.W = np.stack([m.W[0] for m in run]), run[0].W[1]
+        self.c = np.stack([m.c for m in run])
         self.i0 = np.array([m.i0 for m in run]).reshape(-1, 1, 1)
         first = {}                # seed -> first running member on it
         for i, m in enumerate(run):
@@ -220,8 +218,8 @@ class GridStepper:
     def currents(self, y: np.ndarray) -> np.ndarray:
         """Net spin currents [A] for the logic outputs y of the running
         members, shape (members, rows, cols)."""
-        weights = (self.W @ y.reshape(-1) + self.c).reshape(y.shape)
-        return self.i0 * weights * self.model.channel.delivery
+        weights = neighbour_sum(self.W, y.reshape(len(y), -1)) + self.c
+        return self.i0 * weights.reshape(y.shape) * self.model.channel.delivery
 
     def _drive(self) -> None:
         """Rebuild the drive from `y`: `Is`, the kernel's torque and
@@ -385,18 +383,15 @@ def hebbian_train(pairs: list[tuple[Pattern, Pattern]]) -> TemplateSet:
     if len(shapes) != 1:
         raise ValueError("all training patterns must share one shape")
     rows, cols = shapes.pop()
-    n = rows * cols
     idx = neighbour_index(rows, cols, BOUNDARY_MINUS_ONE)
-    A = np.zeros((n, 9))
-    B = np.zeros((n, 9))
-    for cue, target in pairs:
-        c = np.append(cue.to_array(), -1.0)
-        t = np.append(target.to_array(), -1.0)
-        A += t[:n, None] * t[idx]
-        B += t[:n, None] * c[idx]
-    A = quantize_templates(A.reshape(rows, cols, 3, 3) / len(pairs))
-    B = quantize_templates(B.reshape(rows, cols, 3, 3) / len(pairs))
-    return TemplateSet(A, B, np.zeros((rows, cols)))
+    cue = np.array([np.append(c.to_array(), -1.0) for c, _ in pairs])
+    tgt = np.array([np.append(t.to_array(), -1.0) for _, t in pairs])
+    # per pair, cell and offset: the target times the neighbour
+    A = (tgt[:, :-1, None] * tgt[:, idx]).mean(axis=0)
+    B = (tgt[:, :-1, None] * cue[:, idx]).mean(axis=0)
+    return TemplateSet(quantize_templates(A.reshape(rows, cols, 3, 3)),
+                       quantize_templates(B.reshape(rows, cols, 3, 3)),
+                       np.zeros((rows, cols)))
 
 
 def quantize_templates(weights: np.ndarray) -> np.ndarray:

@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import solve_banded
 
 from .constants import Q
 
@@ -110,6 +109,7 @@ def solve_drift_diffusion(n_points: int, channel: ChannelParams,
     ab[0, 2:] = 1.0
     ab[2, :-1] = 1.0
     rhs[0] = 2.0 * h * dmu0
+    from scipy.linalg import solve_banded  # keeps SciPy off the run path
     try:
         mu_in = solve_banded((1, 1), ab, rhs)
     except np.linalg.LinAlgError as exc:  # pragma: no cover

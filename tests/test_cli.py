@@ -596,3 +596,15 @@ def test_channel_beyond_the_float_range_simulates(tmp_path, capsys):
     rc = main(["simulate", "--pattern", str(pattern), "--out",
                str(tmp_path / "o"), "--config", str(cfg)])
     assert rc in (0, 2), capsys.readouterr().err
+
+
+def test_cli_import_loads_no_scipy():
+    # SciPy is needed only by `oracle transmission`, which imports it where
+    # it calls it; a fresh interpreter shows what importing the CLI loads
+    src = os.path.dirname(os.path.dirname(spincnn.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, spincnn.cli; print(sorted(m for m"
+         " in sys.modules if m.partition('.')[0] == 'scipy'))"],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"

@@ -6,12 +6,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import sparse
 
 from spincnn import GLYPHS, load_glyph
+from spincnn.cmos import cmos_noise_filter_templates
 from spincnn.constants import GAMMA, KB, MU0, MU_B, Q
-from spincnn.core import (MagnetParams, Pattern, SimConfig, TemplateSet,
+from spincnn.core import (BOUNDARY_MINUS_ONE, BOUNDARY_ZERO_FLUX,
+                          MagnetParams, Pattern, SimConfig, TemplateSet,
                           add_noise, frame_to_pgm, load_pattern, make_rng,
-                          save_pattern, settle)
+                          neighbour_index, neighbour_sum, save_pattern, settle,
+                          template_operator)
+from spincnn.network import hebbian_train, noise_filter_templates
 
 
 def test_constants_positive_codata():
@@ -160,6 +165,87 @@ class TestTemplateSet:
     def test_bad_shapes_rejected(self):
         with pytest.raises(ValueError):
             TemplateSet(np.zeros((2, 2)), np.zeros((3, 3)), 0.0)
+
+
+def csr_operator(templates, u, boundary):
+    """(W, c) of `template_operator` with W a SciPy CSR matrix: the bit
+    contract of `neighbour_sum`. The taps of a row are stored in row-major
+    offset order, border taps and zero weights left out, and the zero-flux
+    edge copies merged into one entry per neighbour."""
+    rows, cols = u.shape
+    n = rows * cols
+    A, B, I = templates.per_cell(rows, cols)
+    a, b = A.reshape(n, 9), B.reshape(n, 9)
+    idx = neighbour_index(rows, cols, boundary)
+    border = idx == n
+    c = I.reshape(n) + (b * np.append(u, -1.0)[idx] - a * border).sum(axis=1)
+    keep = ~border & (a != 0.0)
+    cells = np.broadcast_to(np.arange(n)[:, None], idx.shape)
+    W = sparse.csr_array((a[keep], (cells[keep], idx[keep])), shape=(n, n))
+    return W, c
+
+
+def random_templates(rng, rows, cols):
+    """A space-varying set of continuous weights."""
+    return TemplateSet(rng.standard_normal((rows, cols, 3, 3)),
+                       rng.standard_normal((rows, cols, 3, 3)),
+                       rng.standard_normal((rows, cols)))
+
+
+def hebbian_templates(rng, rows, cols):
+    glyphs = [load_glyph(g) for g in GLYPHS[:3]]
+    return hebbian_train([(add_noise(g, 0.1, int(rng.integers(100))), g)
+                          for g in glyphs])
+
+
+class TestNeighbourSum:
+    """neighbour_sum(W, y) + c equals the CSR product W @ y + c bit for
+    bit, for one member and for members stacked as `GridStepper` stacks
+    them, against a block-diagonal CSR matrix."""
+
+    ROWS, COLS = 30, 20   # the glyph shape of the Hebbian set
+    SETS = {"cross": lambda rng, r, c: noise_filter_templates(),
+            "cmos-cross": lambda rng, r, c: cmos_noise_filter_templates(),
+            "hebbian": hebbian_templates,
+            "random": random_templates}
+
+    def check(self, name, boundary, members, draw):
+        rng = np.random.default_rng(members)
+        shape = self.ROWS, self.COLS
+        ops, refs = [], []
+        for _ in range(members):
+            templates = self.SETS[name](rng, *shape)
+            u = np.where(rng.random(shape) < 0.5, -1.0, 1.0)
+            ops.append(template_operator(templates, u, boundary))
+            refs.append(csr_operator(templates, u, boundary))
+        for (_, c), (_, c_ref) in zip(ops, refs):
+            assert c.tobytes() == c_ref.tobytes()
+        W_ref = sparse.block_diag([W for W, _ in refs], format="csr")
+        c = np.stack([c for _, c in ops])
+        W = np.stack([W[0] for W, _ in ops]), ops[0][0][1]
+        for _ in range(5):
+            y = draw(rng, (members, self.ROWS * self.COLS))
+            got = neighbour_sum(W, y) + c
+            want = (W_ref @ y.reshape(-1) + c.reshape(-1)).reshape(y.shape)
+            assert got.tobytes() == want.tobytes()
+            if members == 1:
+                one = neighbour_sum(ops[0][0], y[0]) + ops[0][1]
+                assert one.tobytes() == want[0].tobytes()
+
+    @pytest.mark.parametrize("members", [1, 8])
+    @pytest.mark.parametrize("name", list(SETS))
+    def test_minus_one_continuous_outputs(self, name, members):
+        self.check(name, BOUNDARY_MINUS_ONE, members,
+                   lambda rng, shape: rng.standard_normal(shape))
+
+    @pytest.mark.parametrize("members", [1, 8])
+    @pytest.mark.parametrize("name", ["cross", "cmos-cross", "hebbian"])
+    def test_zero_flux_bipolar_outputs(self, name, members):
+        # CSR merges the duplicate taps of an edge copy, so only sums that
+        # are exact in any order can agree: +-1 outputs, 1/4 weights
+        self.check(name, BOUNDARY_ZERO_FLUX, members,
+                   lambda rng, shape: np.where(rng.random(shape) < 0.5,
+                                               -1.0, 1.0))
 
 
 class TestSimConfig:

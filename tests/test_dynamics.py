@@ -257,10 +257,13 @@ def reference_switch_time(p, Is, seed, cfg, tilt_deg=0.0, trace=None):
 class TestSwitchTime:
     CFG = SimConfig(t_max=10e-9)
 
-    def test_subcritical_times_out_at_zero_temperature(self):
-        Is = -0.5 * analytic_critical_current(P)
-        cfg = SimConfig(t_max=10e-9, temperature=0.0)
-        assert switch_times(P, Is, [0], cfg) == [None]
+    def test_subcritical_times_out_where_supercritical_switches(self):
+        # at 300 K, so that a drive strong enough to switch does switch:
+        # at T = 0 the +z start is a fixed point under any drive
+        ic = analytic_critical_current(P)
+        cfg = SimConfig(t_max=5e-9)
+        assert switch_times(P, -0.5 * ic, range(20), cfg) == [None] * 20
+        assert None not in switch_times(P, -10 * ic, range(20), cfg)
 
     def test_wrong_sign_rejected(self):
         with pytest.raises(ValueError):

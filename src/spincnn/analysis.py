@@ -27,7 +27,7 @@ import numpy as np
 from . import cmos as cmos_mod
 from .core import Pattern, SimConfig, TemplateSet, add_noise
 from .network import CellModel, CnnGrid, Trajectory, run_many
-from .readpath import mtj_resistance
+from .readpath import read_current
 from .synapse import (BRANCH_SIZES, DriveModel, LEVELS_PER_UNIT_WEIGHT,
                       drive_current, unit_current)
 from .transport import injected_spin_current
@@ -142,9 +142,7 @@ def spin_energy(traj: Trajectory, drive: DriveModel, model: CellModel,
         return EnergyBreakdown(0.0, 0.0, 0.0)
     joule = hw.gross_units * n_cells * drive.V_drive \
         * drive_current(drive) * t
-    r_stack = (mtj_resistance(model.mtj, model.mtj.t_ox_ref, 1.0)
-               + mtj_resistance(model.mtj, model.mtj.t_ox_read, 1.0))
-    p_read = model.mtj.V_read ** 2 / r_stack
+    p_read = model.mtj.V_read * read_current(model.mtj, 1.0)
     p_inv = model.inverter.V_dd * ep.inverter_leakage
     leakage = n_cells * (p_read + p_inv) * t
     c_gate = ep.c_gate_unit * (hw.gross_units / max(hw.n_synapses, 1)) \

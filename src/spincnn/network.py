@@ -109,7 +109,6 @@ class Trajectory:
     final_pattern: Pattern
     initial_pattern: Pattern
     flipped_pixels: int               # Hamming(initial, final) activity count
-    seed: int
 
     @property
     def converged(self) -> bool:
@@ -153,7 +152,9 @@ class GridStepper:
     when the member that drew it stops. `y` and `Is` hold the logic
     outputs and the drive they give, and each drive rebuild writes its
     torque into the kernel's `torque` buffer; `step` rebuilds the drive
-    only when some output flips.
+    only when some output flips. `q` holds per member the minimum over its
+    cells of y m_z, and `held` whether min(Is y) >= 0: the two halves of
+    the settle rule.
 
     `sample` and `stop` are the callbacks of `core.settle`. `stop` records
     a member's `Trajectory` in `trajectories`, at the member's position in
@@ -213,7 +214,6 @@ class GridStepper:
         self.copies = [(noise[i], noise[first[m.seed]])
                        for i, m in enumerate(run) if first[m.seed] != i]
         self.ymz = np.empty(self.mz.shape)
-        self.certified = False
 
     def currents(self, y: np.ndarray) -> np.ndarray:
         """Net spin currents [A] for the logic outputs y of the running
@@ -221,13 +221,19 @@ class GridStepper:
         weights = neighbour_sum(self.W, y.reshape(len(y), -1)) + self.c
         return self.i0 * weights.reshape(y.shape) * self.model.channel.delivery
 
+    def _margin(self) -> None:
+        """`q`: per member the minimum over its cells of y m_z."""
+        np.multiply(self.y, self.mz, out=self.ymz)
+        self.q = np.minimum.reduce(self.ymz, axis=(1, 2)).tolist()
+
     def _drive(self) -> None:
-        """Rebuild the drive from `y`: `Is`, the kernel's torque and
-        `held`, per member min(Is y) >= 0."""
+        """Rebuild the drive from `y`: `Is`, the kernel's torque, `held`,
+        per member min(Is y) >= 0, and `q`."""
         self.Is = self.currents(self.y)
         self.heun.torque[...] = dynamics.stt_rate(self.model.magnet, self.Is)
         self.held = (np.minimum.reduce(self.Is * self.y, axis=(1, 2))
                      >= 0.0).tolist()
+        self._margin()
 
     def advance(self) -> None:
         """One synchronous LLG step of every magnet under the kernel's
@@ -248,17 +254,13 @@ class GridStepper:
         """Advance under the current drive, then rebuild the drive if some
         logic output flipped: the same bits as rebuilding it every step.
 
-        First q = min over its cells of y m_z is taken per member. A cell
-        with y m_z > |b|, b the logic boundary, still reads y, so when
-        every member has q > |b| no output can have flipped: the step is
-        `certified` and skips the read and the compare. Otherwise it reads
-        the outputs and compares them, as every step did before.
+        First `q` is taken. A cell with y m_z > |b|, b the logic boundary,
+        still reads y, so when every member has q > |b| no output can have
+        flipped, and the step skips the read and the compare.
         """
         self.advance()
-        np.multiply(self.y, self.mz, out=self.ymz)
-        self.q = np.minimum.reduce(self.ymz, axis=(1, 2)).tolist()
-        self.certified = all(q > self.abs_b for q in self.q)
-        if self.certified:
+        self._margin()
+        if all(q > self.abs_b for q in self.q):
             return
         y = self.model.logic(self.mz)
         if (y != self.y).any():
@@ -266,29 +268,17 @@ class GridStepper:
             self._drive()
 
     def settled(self) -> list[bool]:
-        """Per running member: all magnets saturated and no net current
-        opposes its magnet.
+        """Per running member: every magnet holds its logic output y with
+        y m_z >= mz_threshold, and no net current opposes an output
+        (Is y >= 0).
 
-        The torque-consistency clause distinguishes a genuine fixed point
-        from the slow early escape from the pole, where a driven magnet
-        still sits at |m_z| > threshold, and keeps sub-critically driven
-        wrong pixels reported as non-converged.
-
-        After a certified `step` every cell has y m_z > |b| >= 0, so
-        sign(m_z) = y: q is the |m_z| minimum, and Is sign(m_z) = Is y,
-        whose per-member minimum changes only at a drive rebuild (`held`).
-        The check is then q >= mz_threshold and `held`, the same bools.
-        After any other step it reads |m_z| and sign(m_z) directly.
+        The current clause distinguishes a genuine fixed point from the
+        slow early escape from the pole, where a driven magnet still sits
+        past the threshold, and keeps sub-critically driven wrong pixels
+        reported as non-converged.
         """
-        if self.certified:
-            return [q >= self.mz_threshold and held
-                    for q, held in zip(self.q, self.held)]
-        low = np.minimum.reduce(np.abs(self.mz), axis=(1, 2))
-        ok = (low >= self.mz_threshold).tolist()
-        if not any(ok):
-            return ok
-        held = np.minimum.reduce(self.Is * np.sign(self.mz), axis=(1, 2)) >= 0.0
-        return [a and b for a, b in zip(ok, held.tolist())]
+        return [q >= self.mz_threshold and held
+                for q, held in zip(self.q, self.held)]
 
     def sample(self, t: float, which: list[int]) -> None:
         """Check that every running member is finite; with frames, record
@@ -312,7 +302,7 @@ class GridStepper:
             flips = int(np.sum(final.to_array() != m.initial.to_array()))
             self.trajectories[m.slot] = Trajectory(
                 np.array(m.times), np.array(m.frames),
-                t if converged else None, final, m.initial, flips, m.seed)
+                t if converged else None, final, m.initial, flips)
         keep = [i for i in range(len(self.running)) if i not in which]
         if not keep:
             return
@@ -428,7 +418,10 @@ def load_templates(text: str) -> TemplateSet:
     levels = set(representable_weights())
     cells = []
     for k, ln in enumerate(lines[1:], start=1):
-        vals = [int(v) for v in ln.split()]
+        try:
+            vals = [int(v) for v in ln.split()]
+        except ValueError as exc:
+            raise ValueError(f"template file: cell line {k}: {exc}") from exc
         if len(vals) != 19:
             raise ValueError(f"template file: cell line {k} must have "
                              "19 integers")

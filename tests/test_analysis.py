@@ -27,7 +27,7 @@ DRIVE = DriveModel(V_drive=0.5)
 def fake_trajectory(conv_time, flips, rows=30, cols=20):
     p = Pattern(rows, cols, (1,) * (rows * cols))
     return Trajectory(np.array([0.0, conv_time or 1e-9]),
-                      np.ones((2, rows, cols)), conv_time, p, p, flips, 0)
+                      np.ones((2, rows, cols)), conv_time, p, p, flips)
 
 
 NF_HW = ScenarioHardware.fixed(noise_filter_templates())

@@ -111,7 +111,7 @@ class TestSimulate:
         # [inverter] v_th = 0.395: the circuit reads it as -1
         initial = Pattern(1, 2, (-1, 1))
         traj = Trajectory(np.array([1e-9]), np.array([[[0.1, 0.9]]]), None,
-                          initial, initial, 0, 0)
+                          initial, initial, 0)
         model = CellModel(inverter=InverterModel(V_th=0.395))
         assert model.logic_boundary_mz == pytest.approx(0.26, abs=0.005)
         row = _trajectory_csv(traj, model).splitlines()[1]

@@ -315,6 +315,12 @@ class TestTemplateFiles:
         with pytest.raises(ValueError, match=f"line 2: level {level} "):
             load_templates("1 2\n" + "0 " * 19 + "\n" + " ".join(cell) + "\n")
 
+    @pytest.mark.parametrize("level", ["x", "4.0"])
+    def test_non_integer_level_names_its_line(self, level):
+        cell = ["0"] * 18 + [level]
+        with pytest.raises(ValueError, match=f"cell line 2: .*'{level}'"):
+            load_templates("1 2\n" + "0 " * 19 + "\n" + " ".join(cell) + "\n")
+
 
 def test_grid_shape_mismatch_rejected():
     with pytest.raises(ValueError, match="shape"):
@@ -345,8 +351,7 @@ def reference_run(grid, cfg, model):
         y = np.where(mz > model.logic_boundary_mz, 1.0, -1.0)
         Is = model.i0 * reference_drive(
             y, grid.u, grid.templates, model.boundary) * model.channel.delivery
-        ok = np.all(np.abs(mz) >= cfg.mz_threshold) and \
-            np.all(Is * np.sign(mz) >= 0.0)
+        ok = np.all(y * mz >= cfg.mz_threshold) and np.all(Is * y >= 0.0)
         return Is, ok, g.logic_pattern(model)
 
     times, frames = [0.0], [m[:, :, 2].copy()]
@@ -484,6 +489,33 @@ def test_members_match_reference_loop_off_zero_logic_boundary(v_th,
         assert np.array_equal(traj.mz, frames)
         assert traj.convergence_time == conv_time
         assert traj.final_pattern == final
+
+
+@pytest.mark.parametrize("hold_time", [0.0, 0.1e-9])
+def test_no_output_flips_inside_the_hold(hold_time):
+    # one cell at T = 0 with the logic boundary b = -0.95 beyond
+    # mz_threshold: it starts at m_z = -0.92, so it reads +1 although
+    # |m_z| >= mz_threshold, and the drive B u = -1 pulls it across b.
+    # It has settled only once it reads -1, and the hold starts there
+    cfg = SimConfig(temperature=0.0, t_max=0.5e-9, hold_time=hold_time,
+                    sample_interval=1e-12)
+    model = replace(MODEL, inverter=InverterModel(V_th=0.5))
+    b = model.logic_boundary_mz
+    assert b == pytest.approx(-0.95, abs=1e-3)
+    m = np.array([[[np.sqrt(1.0 - 0.92 ** 2), 0.0, -0.92]]])
+    B = np.zeros((3, 3))
+    B[1, 1] = 1.0
+    grid = CnnGrid(m, -np.ones((1, 1)), TemplateSet(np.zeros((3, 3)), B, 0.0))
+    assert grid.logic_pattern(model) == Pattern(1, 1, (1,))
+    # the unsettled path, frame by frame: the step at which the output flips
+    free = run(grid, replace(cfg, hold_time=cfg.t_max), model)
+    flip = int(np.argmax(free.mz[:, 0, 0] <= b))
+    assert flip > 0 and free.mz[flip, 0, 0] <= b < free.mz[flip - 1, 0, 0]
+    traj = run(grid, cfg, model)
+    assert traj.converged
+    steps = int(round(traj.convergence_time / cfg.dt))
+    assert steps >= flip + int(round(hold_time / cfg.dt))
+    assert traj.final_pattern == Pattern(1, 1, (-1,))
 
 
 @pytest.mark.parametrize("temperature", [300.0, 0.0])

@@ -13,7 +13,6 @@ HARNESS = sorted((ROOT / "perfbench").glob("*.py"))
 
 # read by tests only, kept as the subject of an acceptance criterion
 SUBJECTS = {
-    "readpath.read_current": "criterion 6: the read stack's static current",
     "synapse.encode_weight": "criterion 7: the synapse codec's encoder",
 }
 

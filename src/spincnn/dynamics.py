@@ -25,6 +25,15 @@ step, and `switch_times`, one thermal realisation at a time, at ~1.6 us
 per step with its draw (Python 3.11, NumPy 2.4, 2 shared cores). The bit
 contract of all three is the NumPy step of tests/llg_reference.py: every
 element goes through its floating-point operations in the same order.
+
+At T = 0 the uniaxial macrospin has an exact switching time,
+`t0_switch_time` (J. Z. Sun, Phys. Rev. B 62, 570 (2000)); the step
+crosses within 0.2 % of it at 1 ps. `critical_spin_current` takes the
+outcome of its probes far from that time's threshold from the closed form
+and steps only the probes near it, and it returns the value of the
+bisection that steps every probe, bit for bit, or runs that bisection.
+`switch_times` starts a T = 0 run at the tilt of `t0_crossing_step`, as +z
+is then a fixed point.
 """
 
 from __future__ import annotations
@@ -226,18 +235,63 @@ def t0_crossing_step(p: MagnetParams, Is: float, level: float, horizon: float,
     return None
 
 
-def critical_spin_current(p: MagnetParams, horizon: float = 50e-9,
-                          dt: float = 1e-12) -> float:
-    """Zero-temperature bisection for the minimal switching current [A]:
-    the smallest anti-parallel current magnitude that `t0_crossing_step`
-    takes below m_z = -0.5 within the horizon, to CRITICAL_REL_TOL."""
-    below = math.nextafter(-0.5, -math.inf)  # m_z < -0.5 as m_z <= below
+def t0_switch_time(p: MagnetParams, Is: float, level: float) -> float | None:
+    """Exact time [s] of the noiseless macrospin from the T0_TILT_DEG start
+    to m_z = level under Is, math.inf if it never gets there, or None where
+    the closed form gives no prediction (the r = 1 pole, a level outside
+    (-1, start), a non-finite term).
+
+    With u = m_z the uniaxial LLG with z torque is du/dt = -a (r - u)
+    (1 - u^2), a = alpha gamma mu0 Hk / (1 + alpha^2) and r = -Is / I_c, I_c
+    the `analytic_critical_current` (J. Z. Sun, Phys. Rev. B 62, 570 (2000));
+    partial fractions integrate 1 / ((r - u)(1 - u^2)) from level to start.
+    """
+    u0 = math.cos(math.radians(T0_TILT_DEG))
+    ic = analytic_critical_current(p)
+    a = p.alpha * GAMMA * MU0 * p.Hk / (1.0 + p.alpha * p.alpha)
+    if not (0.0 < ic < math.inf and a > 0.0 and -1.0 < level < u0):
+        return None
+    r = -Is / ic
+    if r <= u0:
+        return math.inf  # the tilt decays back to +z, or stays
+    if r == 1.0:
+        return None
+    t = (math.log((r - level) / (r - u0)) / (1.0 - r * r)
+         + math.log((1.0 - level) / (1.0 - u0)) / (2.0 * (r - 1.0))
+         + math.log((1.0 + u0) / (1.0 + level)) / (2.0 * (r + 1.0))) / a
+    return t if 0.0 < t < math.inf else None
+
+
+def t0_threshold_current(p: MagnetParams, level: float,
+                         horizon: float) -> float | None:
+    """The current magnitude [A] whose `t0_switch_time` to `level` is
+    `horizon`, bisected to the last float of r = I / I_c, or None where the
+    closed form gives no prediction on the way."""
+    ic = analytic_critical_current(p)
+    lo, hi, r = math.cos(math.radians(T0_TILT_DEG)), math.inf, 2.0
+    while lo < r < hi:  # r = I / I_c doubles until in time, then bisects
+        t = t0_switch_time(p, -r * ic, level)
+        if t is None:
+            return None
+        if t > horizon:
+            lo = r
+        else:
+            hi = r
+        r = 2.0 * r if hi == math.inf else 0.5 * (lo + hi)
+    return hi * ic if hi < math.inf else None
+
+
+def _bisect_critical(p: MagnetParams, horizon: float,
+                     switches) -> tuple[float, float]:
+    """The critical-current bracket (lo, hi) [A]: doubling from the
+    analytic estimate, then bisection to CRITICAL_REL_TOL, by the outcome
+    `switches(I)` of a T = 0 probe at each current magnitude I."""
     estimate = analytic_critical_current(p)
     if not 0.0 < estimate < math.inf:
         raise ValueError(f"analytic critical-current estimate {estimate:.3g} A "
                          "is zero or not finite: no bisection bracket")
     lo, hi = 0.0, estimate
-    while t0_crossing_step(p, -hi, below, horizon, dt) is None:
+    while not switches(hi):
         hi *= 2.0
         if hi / estimate > 1e3:
             raise RuntimeError("critical-current bracket failure: "
@@ -245,11 +299,55 @@ def critical_spin_current(p: MagnetParams, horizon: float = 50e-9,
         lo = hi / 2.0
     while hi - lo > CRITICAL_REL_TOL * hi:
         mid = 0.5 * (lo + hi)
-        if t0_crossing_step(p, -mid, below, horizon, dt) is None:
-            lo = mid
-        else:
+        if switches(mid):
             hi = mid
-    return hi
+        else:
+            lo = mid
+    return lo, hi
+
+
+def critical_spin_current(p: MagnetParams, horizon: float = 50e-9,
+                          dt: float = 1e-12) -> float:
+    """Zero-temperature bisection for the minimal switching current [A]:
+    the smallest anti-parallel current magnitude that `t0_crossing_step`
+    takes below m_z = -0.5 within the horizon, to CRITICAL_REL_TOL.
+
+    The closed form decides the far probes. Where a probe current I lies
+    more than CRITICAL_REL_TOL from the `t0_threshold_current` I* of the
+    horizon, the bisection takes the predicted outcome (switch if I > I*)
+    and runs no step; nearer probes run `t0_crossing_step`. Then the final
+    hi must really switch and the final lo, if above 0, really not. Every
+    predicted no-switch became lo, which only rises, and every predicted
+    switch became hi, which only falls; so if the outcome is monotone in
+    I, as every bisection assumes, a wrong prediction makes the final lo
+    switch or the final hi not. A passing check thus means each prediction
+    equalled the probe it replaced, and the value is bit for bit that of
+    the bisection by steps alone (tests/llg_reference.py). On a failed
+    check, or an error, that bisection runs instead, with its errors.
+    """
+    below = math.nextafter(-0.5, -math.inf)  # m_z < -0.5 as m_z <= below
+    outcome = {}
+
+    def steps(i: float) -> bool:
+        if i not in outcome:
+            n = t0_crossing_step(p, -i, below, horizon, dt)
+            outcome[i] = n is not None
+        return outcome[i]
+
+    i_star = t0_threshold_current(p, -0.5, horizon)
+
+    def guided(i: float) -> bool:
+        if i_star is not None and abs(i / i_star - 1.0) > CRITICAL_REL_TOL:
+            return i > i_star
+        return steps(i)
+
+    try:
+        lo, hi = _bisect_critical(p, horizon, guided)
+        if steps(hi) and not (lo > 0.0 and steps(lo)):
+            return hi
+    except (ValueError, RuntimeError):
+        pass
+    return _bisect_critical(p, horizon, steps)[1]
 
 
 def switch_times(p: MagnetParams, Is: float, seeds,
@@ -257,15 +355,18 @@ def switch_times(p: MagnetParams, Is: float, seeds,
     """First-passage times of m_z through -mz_threshold [s] at the
     temperature of `cfg`, one per seed.
 
-    Each seed runs alone from +z in scalar floats on its own
-    make_rng(seed, STREAM_SWITCH) and stops at its first crossing: its time
-    is n dt for the first step n that leaves m_z <= -mz_threshold, None
-    after t_max. `Is` must oppose the +z start. Bit-identity contract: each
-    time equals that of a loop of the reference `heun_step` of
-    tests/llg_reference.py fed rng.standard_normal(3) * sigma per step, and
-    each step is that step op for op, as in `t0_crossing_step` but with
-    the thermal hx and hy. Samples come SWITCH_BLOCK steps at a time into a
-    (SWITCH_BLOCK, 3) buffer, scaled in place and read as floats; a
+    Each seed runs alone in scalar floats on its own make_rng(seed,
+    STREAM_SWITCH) and stops at its first crossing: its time is n dt for
+    the first step n that leaves m_z <= -mz_threshold, None after t_max.
+    The start is +z, or at T = 0 (sigma = 0), where +z is a fixed point,
+    the T0_TILT_DEG tilt of `t0_crossing_step`; every seed then has the
+    time `t0_crossing_step(...) * dt`, bit for bit, as the zero thermal
+    products are exact zeros. `Is` must oppose the +z start. Bit-identity
+    contract: each time equals that of a loop of the reference `heun_step`
+    of tests/llg_reference.py fed rng.standard_normal(3) * sigma per step,
+    and each step is that step op for op, as in `t0_crossing_step` but
+    with the thermal hx and hy. Samples come SWITCH_BLOCK steps at a time
+    into a (SWITCH_BLOCK, 3) buffer, scaled in place and read as floats; a
     generator yields one stream of normals, so one call for 3 k values
     gives the bits of k calls for 3, in order.
     """
@@ -276,8 +377,10 @@ def switch_times(p: MagnetParams, Is: float, seeds,
     k, sigma, level = 1.0 + a2, thermal_sigma(p, cfg), -cfg.mz_threshold
     n_steps = int(round(cfg.t_max / dt))
     noise, times = np.zeros((SWITCH_BLOCK, 3)), []
+    tilt = math.radians(T0_TILT_DEG)
+    start = (0.0, 0.0, 1.0) if sigma else (math.sin(tilt), 0.0, math.cos(tilt))
     for seed in seeds:
-        rng, n, mx, my, mz = make_rng(seed, STREAM_SWITCH), 0, 0.0, 0.0, 1.0
+        rng, n, (mx, my, mz) = make_rng(seed, STREAM_SWITCH), 0, start
         while n < n_steps and mz > level:
             if sigma:
                 rng.standard_normal(out=noise)

@@ -1,18 +1,27 @@
 """The stochastic LLG Heun step written out in NumPy: the bit contract of
 `dynamics.GridHeun`, `dynamics.t0_crossing_step` and
-`dynamics.switch_times`.
+`dynamics.switch_times`; and the critical-current bisection by steps
+alone: the bit contract of `dynamics.critical_spin_current`.
 
 The program steps magnets only through those three. This module is their
 written spec: each element of a `GridHeun` step, each scalar of a
 `switch_times` step, and each scalar of a `t0_crossing_step` at zero
 thermal field, goes through the floating-point operations of `heun_step`
 and `drift` below in the same order, so the bit-identity tests compare
-them with this step, never with themselves.
+them with this step, never with themselves. Likewise
+`critical_spin_current`, which lets the closed form decide its far
+probes, must return the value of `critical_spin_current` below, which runs
+`t0_crossing_step` at every probe.
 """
+
+import math
 
 import numpy as np
 
 from spincnn.constants import GAMMA, MU0
+from spincnn.core import MagnetParams
+from spincnn.dynamics import (CRITICAL_REL_TOL, analytic_critical_current,
+                              t0_crossing_step)
 
 
 def effective_field(m: np.ndarray, p, thermal: np.ndarray) -> np.ndarray:
@@ -55,3 +64,29 @@ def heun_step(m: np.ndarray, p, torque_z, thermal: np.ndarray,
     d2 = drift(mp, effective_field(mp, p, thermal), torque_z, p.alpha)
     out = m + 0.5 * dt * (d1 + d2)
     return out / np.linalg.norm(out, axis=-1, keepdims=True)
+
+
+def critical_spin_current(p: MagnetParams, horizon: float = 50e-9,
+                          dt: float = 1e-12) -> float:
+    """Zero-temperature bisection for the minimal switching current [A]:
+    the smallest anti-parallel current magnitude that `t0_crossing_step`
+    takes below m_z = -0.5 within the horizon, to CRITICAL_REL_TOL."""
+    below = math.nextafter(-0.5, -math.inf)  # m_z < -0.5 as m_z <= below
+    estimate = analytic_critical_current(p)
+    if not 0.0 < estimate < math.inf:
+        raise ValueError(f"analytic critical-current estimate {estimate:.3g} A "
+                         "is zero or not finite: no bisection bracket")
+    lo, hi = 0.0, estimate
+    while t0_crossing_step(p, -hi, below, horizon, dt) is None:
+        hi *= 2.0
+        if hi / estimate > 1e3:
+            raise RuntimeError("critical-current bracket failure: "
+                               f"{hi:.3e} A does not switch within {horizon} s")
+        lo = hi / 2.0
+    while hi - lo > CRITICAL_REL_TOL * hi:
+        mid = 0.5 * (lo + hi)
+        if t0_crossing_step(p, -mid, below, horizon, dt) is None:
+            lo = mid
+        else:
+            hi = mid
+    return hi

@@ -429,6 +429,16 @@ class TestOracle:
         assert "20/20 seeds" in out
         assert "agreement: yes" in out
 
+    def test_switch_stats_at_zero_temperature_agrees(self, tmp_path, capsys):
+        # every realisation starts at the tilt of the T = 0 run and takes
+        # its time
+        cfg = tmp_path / "t0.cfg"
+        cfg.write_text("[sim]\ntemperature = 0.0\n")
+        assert main(["oracle", "switch-stats", "--config", str(cfg)]) == 0
+        out = capsys.readouterr().out
+        assert "20/20 seeds at 0 K: 1.5560 ns (std 0.0000 ns)" in out
+        assert "ratio stochastic/deterministic: 1.000" in out
+
     def test_critical_current_agrees(self, capsys):
         assert main(["oracle", "critical-current"]) == 0
         assert "agreement: yes" in capsys.readouterr().out

@@ -10,10 +10,12 @@ from hypothesis import strategies as st
 
 from spincnn.constants import GAMMA, KB, MU0, Q
 from spincnn.core import STREAM_SWITCH, MagnetParams, SimConfig, make_rng
+from spincnn import dynamics
 from spincnn.dynamics import (T0_TILT_DEG, GridHeun,
                               analytic_critical_current, critical_spin_current,
                               heun_step, stt_rate, switch_times,
-                              t0_crossing_step, thermal_sigma)
+                              t0_crossing_step, t0_switch_time,
+                              t0_threshold_current, thermal_sigma)
 
 import llg_reference as ref
 
@@ -189,6 +191,113 @@ class TestCriticalCurrent:
             critical_spin_current(p, horizon=1e-9)
 
 
+@pytest.fixture
+def probes(monkeypatch):
+    """The currents [A] at which the program's and the reference's
+    bisections run `t0_crossing_step`, in call order."""
+    seen = {"program": [], "reference": []}
+
+    def spy(calls):
+        def probe(p, Is, level, horizon, dt):
+            calls.append(-Is)
+            return t0_crossing_step(p, Is, level, horizon, dt)
+        return probe
+
+    monkeypatch.setattr(dynamics, "t0_crossing_step", spy(seen["program"]))
+    monkeypatch.setattr(ref, "t0_crossing_step", spy(seen["reference"]))
+    return seen
+
+
+class TestGuidedBisection:
+    """`critical_spin_current` lets the closed form decide the probes far
+    from its threshold; it must return the value of the reference bisection
+    by steps alone, bit for bit."""
+
+    @pytest.mark.parametrize("p, horizon, dt, fallback", [
+        (P, 50e-9, 1e-12, False),
+        (P, 50e-9, 2e-12, False),
+        (MagnetParams(alpha=0.005), 400e-9, 2e-12, False),
+        (MagnetParams(alpha=0.02), 400e-9, 2e-12, False),
+        (MagnetParams(Ku=6e3), 10e-9, 2e-12, False),
+        # at these steps the stepped threshold lies 3.8 % and 3.9 % below
+        # the closed-form one, so some far probe is predicted wrong
+        (P, 10e-9, 5e-12, True),
+        (MagnetParams(Ms=8e5, Ku=4e5), 10e-9, 1e-12, True),
+    ], ids=["default-1ps", "default-2ps", "alpha-0.005", "alpha-0.02",
+            "Ku-6e3", "default-5ps", "Ms-8e5-Ku-4e5"])
+    def test_equals_reference_bisection(self, probes, p, horizon, dt,
+                                        fallback):
+        got = critical_spin_current(p, horizon, dt)
+        assert got == ref.critical_spin_current(p, horizon, dt)
+        # a fallback runs the reference loop: every one of its probes
+        assert (set(probes["reference"]) <= set(probes["program"])) == fallback
+
+    def test_default_magnet_runs_at_most_three_probes(self, probes):
+        # the reference bisection steps 9
+        assert critical_spin_current(P) == 7.700210677831596e-06
+        assert len(probes["program"]) <= 3
+
+    def test_misplaced_threshold_falls_back(self, probes, monkeypatch):
+        # with I* 5 % high, the probes between the stepped threshold and
+        # 0.99 I* are predicted not to switch, so the final lo switches
+        exact = t0_threshold_current
+        monkeypatch.setattr(dynamics, "t0_threshold_current",
+                            lambda *args: 1.05 * exact(*args))
+        got = critical_spin_current(P, horizon=10e-9)
+        assert got == ref.critical_spin_current(P, horizon=10e-9)
+        assert set(probes["reference"]) <= set(probes["program"])
+
+
+class TestClosedForm:
+    """`t0_switch_time`, the exact T = 0 switching time of the uniaxial
+    macrospin, against quadrature and against the discrete step."""
+
+    @pytest.mark.parametrize("mult", [0.9999, 1.0001, 1.5, 2, 5, 10])
+    def test_equals_quadrature(self, mult):
+        from scipy.integrate import quad
+        a = P.alpha * GAMMA * MU0 * P.Hk / (1 + P.alpha ** 2)
+        u0 = math.cos(math.radians(T0_TILT_DEG))
+        exact = quad(lambda u: 1 / ((mult - u) * (1 - u * u)), -0.5, u0,
+                     epsabs=0, epsrel=1e-12, limit=200)[0] / a
+        Is = -mult * analytic_critical_current(P)
+        assert t0_switch_time(P, Is, -0.5) == pytest.approx(exact, rel=1e-9)
+
+    def test_no_switch_and_no_prediction(self):
+        ic = analytic_critical_current(P)
+        assert t0_switch_time(P, -0.5 * ic, -0.5) == math.inf
+        assert t0_switch_time(P, 0.5 * ic, -0.5) == math.inf
+        # no prediction: the r = 1 pole, a level outside (-1, start), a
+        # term that is not finite
+        assert t0_switch_time(P, -ic, -0.5) is None
+        assert t0_switch_time(P, -2 * ic, 1.0) is None
+        assert t0_switch_time(P, -2 * ic, -1.0) is None
+        assert t0_switch_time(P, -math.inf, -0.5) is None
+        assert t0_switch_time(MagnetParams(Ku=5e-324), -1e-6, -0.5) is None
+        assert t0_threshold_current(MagnetParams(Ku=5e-324), -0.5, 5e-8) \
+            is None
+
+    def test_threshold_switches_at_the_horizon(self):
+        i_star = t0_threshold_current(P, -0.5, 50e-9)
+        assert i_star == pytest.approx(7.6907e-6, rel=1e-4)
+        assert t0_switch_time(P, -i_star, -0.5) <= 50e-9
+        assert t0_switch_time(P, -math.nextafter(i_star, 0), -0.5) > 50e-9
+
+    @pytest.mark.parametrize("mult", [1.5, 2, 5, 10])
+    def test_crossing_step_within_0p3_percent(self, mult):
+        Is = -mult * analytic_critical_current(P)
+        n = t0_crossing_step(P, Is, -0.5, 50e-9, 1e-12)
+        assert n * 1e-12 == pytest.approx(t0_switch_time(P, Is, -0.5),
+                                          rel=3e-3)
+
+    def test_error_falls_as_dt_halves(self):
+        # second order to 1 ps, first order below: x4.1, x2.1, x1.9
+        Is = -2 * analytic_critical_current(P)
+        exact = t0_switch_time(P, Is, -0.5)
+        err = [abs(t0_crossing_step(P, Is, -0.5, 50e-9, dt) * dt / exact - 1)
+               for dt in (2e-12, 1e-12, 0.5e-12, 0.25e-12)]
+        assert all(coarse >= 1.5 * fine for coarse, fine in zip(err, err[1:]))
+
+
 @pytest.mark.parametrize("shape", [(7,), (1, 4, 3), (3, 4, 3)])
 @pytest.mark.parametrize("per_cell", [False, True], ids=["scalar", "per-cell"])
 @pytest.mark.parametrize("T", [0.0, 300.0])
@@ -258,12 +367,20 @@ class TestSwitchTime:
     CFG = SimConfig(t_max=10e-9)
 
     def test_subcritical_times_out_where_supercritical_switches(self):
-        # at 300 K, so that a drive strong enough to switch does switch:
-        # at T = 0 the +z start is a fixed point under any drive
+        # at 300 K, from +z: the T = 0 runs start tilted
         ic = analytic_critical_current(P)
         cfg = SimConfig(t_max=5e-9)
         assert switch_times(P, -0.5 * ic, range(20), cfg) == [None] * 20
         assert None not in switch_times(P, -10 * ic, range(20), cfg)
+
+    @pytest.mark.parametrize("mult", [1.5, 2, 5, 10])
+    def test_zero_temperature_starts_tilted(self, mult):
+        # at T = 0 every seed starts at the tilt of the T = 0 loop and
+        # takes its time, bit for bit
+        cfg = SimConfig(temperature=0.0, t_max=50e-9)
+        Is = -mult * analytic_critical_current(P)
+        n = t0_crossing_step(P, Is, -cfg.mz_threshold, cfg.t_max, cfg.dt)
+        assert switch_times(P, Is, [0, 1], cfg) == [n * cfg.dt] * 2
 
     def test_wrong_sign_rejected(self):
         with pytest.raises(ValueError):

@@ -207,8 +207,8 @@ def sweep_parts(s: Scenario, voltages, sizes, seeds, cfg: SimConfig,
     do not depend on `jobs`.
     """
     voltages = sorted(voltages)
-    if len(voltages) < 3:
-        raise ValueError("need at least 3 sweep voltages")
+    if len(set(voltages)) < 3:
+        raise ValueError("need at least 3 distinct sweep voltages")
     points = [(v, size, seed) for v in voltages for size in sizes
               for seed in seeds]
     n_chunks = min(jobs, len(points))

@@ -222,13 +222,16 @@ def cmd_train(args, argv: list[str]) -> int:
 # sweep
 
 def _list(text: str, flag: str, kind) -> list:
-    """Comma-separated values of `kind`."""
+    """Comma-separated values of `kind`, each at most once."""
     try:
         values = [kind(v) for v in text.split(",") if v.strip()]
     except ValueError as exc:
         raise CliError(f"{flag}: {exc}") from exc
     if not values:
         raise CliError(f"{flag}: empty list")
+    for i, v in enumerate(values):
+        if v in values[:i]:
+            raise CliError(f"{flag}: repeated value {v}")
     return values
 
 

@@ -18,13 +18,15 @@ Sign convention: positive spin current drives m_z toward +1.
 
 `GridHeun` is the one vector Heun step: it steps a grid of magnets in
 place. A single magnet is all NumPy dispatch there, ~36 us per step for
-one magnet and ~41 us for 20, so the single-magnet paths unroll the same
-step in scalar floats: `t0_crossing_step`, the T = 0 loop of the
-critical-current bisection and the switch-stats oracle, at ~1.2 us per
-step, and `switch_times`, one thermal realisation at a time, at ~1.6 us
-per step with its draw (Python 3.11, NumPy 2.4, 2 shared cores). The bit
-contract of all three is the NumPy step of tests/llg_reference.py: every
-element goes through its floating-point operations in the same order.
+one magnet and ~41 us for 20, so the single-magnet paths share one scalar
+unrolling of the same step, `_crossing`, at ~1.0 us per step at T = 0 and
+~1.6 us with its thermal draw (Python 3.11, NumPy 2.4, 2 shared cores).
+It has two callers: `t0_crossing_step`, the T = 0 probe of the
+critical-current bisection and the switch-stats oracle, and
+`switch_times`, one thermal realisation per seed. The bit contract of both
+the grid and the scalar step is the NumPy step of tests/llg_reference.py:
+every element goes through its floating-point operations in the same
+order.
 
 At T = 0 the uniaxial macrospin has an exact switching time,
 `t0_switch_time` (J. Z. Sun, Phys. Rev. B 62, 570 (2000)); the step
@@ -32,8 +34,8 @@ crosses within 0.2 % of it at 1 ps. `critical_spin_current` takes the
 outcome of its probes far from that time's threshold from the closed form
 and steps only the probes near it, and it returns the value of the
 bisection that steps every probe, bit for bit, or runs that bisection.
-`switch_times` starts a T = 0 run at the tilt of `t0_crossing_step`, as +z
-is then a fixed point.
+At T = 0, where +z is a fixed point, a run starts at the T0_TILT_DEG tilt,
+and `switch_times` runs it once for all seeds.
 """
 
 from __future__ import annotations
@@ -45,7 +47,7 @@ import numpy as np
 from .constants import GAMMA, KB, MU0, Q
 from .core import MAX_DT, MagnetParams, SimConfig, make_rng, STREAM_SWITCH
 
-SWITCH_BLOCK = 256  # thermal samples drawn per switch_times seed at a time
+SWITCH_BLOCK = 256  # steps of a scalar run between draws and tilt checks
 T0_TILT_DEG = 1.0  # start of the T = 0 probes off +z, a fixed point [deg]
 CRITICAL_REL_TOL = 0.01  # bracket width of the critical-current bisection
 
@@ -84,7 +86,7 @@ class GridHeun:
     """In-place Heun stepper for a grid of magnets, bit-identical to the
     reference step of tests/llg_reference.py. Every grid run steps on it,
     and so does the one-step `heun_step`; single magnets run in the scalar
-    loops `t0_crossing_step` and `switch_times` instead.
+    loop `_crossing` instead.
 
     State and fields live in cyclic component-first buffers of shape
     (5, *grid), rows x, y, z, x, y; the grid has at least one axis.
@@ -187,52 +189,84 @@ def analytic_critical_current(p: MagnetParams) -> float:
     return p.alpha * GAMMA * MU0 * p.Hk * Q * p.Ns
 
 
+def _crossing(p: MagnetParams, Is: float, level: float, n_steps: int,
+              dt: float, rng=None, sigma: float = 0.0) -> int | None:
+    """First step n <= n_steps at which one magnet under Is has m_z <=
+    level, or None: the scalar Heun step of both single-magnet paths.
+
+    At sigma > 0 the run starts at +z, and each step takes the thermal
+    sample rng.standard_normal(3) * sigma; samples come SWITCH_BLOCK steps
+    at a time into a (SWITCH_BLOCK, 3) buffer, scaled in place and read as
+    floats, and a generator yields one stream of normals, so one call for
+    3 k values gives the bits of k calls for 3, in order. At sigma = 0, +z
+    is a fixed point: the run starts T0_TILT_DEG off +z toward +x, and the
+    tilt then only grows or only decays, so a tilt below 0.3 of its start
+    while m_z > 0, checked after each block, ends it with None (from +z
+    that floor is 0). Bit for bit with the reference `heun_step` of
+    tests/llg_reference.py, op for op; only at sigma = 0 the products of
+    hx = hy = 0 are exact zeros and are left out, gy = c (-mx hz) is gm (mx
+    hz) and gz is the torque rate.
+    """
+    alpha, hk, tz = p.alpha, p.Hk, stt_rate(p, Is)
+    gm, a2, half_dt, sqrt = GAMMA * MU0, alpha * alpha, 0.5 * dt, math.sqrt
+    c, k, gz = -gm, 1.0 + a2, tz  # gz stays the torque rate at sigma = 0
+    tilt = 0.0 if sigma else math.radians(T0_TILT_DEG)
+    mx, my, mz = math.sin(tilt), 0.0, math.cos(tilt)
+    decay_floor, noisy = math.sin(tilt) * 0.3, sigma > 0
+    noise, n = np.zeros((SWITCH_BLOCK, 3)), 0
+    block = noise.tolist()  # the zero field, until a draw
+    while n < n_steps:
+        if noisy:
+            rng.standard_normal(out=noise)
+            noise *= sigma
+            block = noise.tolist()
+        for n, (hx, hy, thz) in enumerate(block[:n_steps - n], n + 1):
+            if noisy:                          # predictor drift d1
+                hz = thz + hk * mz
+                gx, gy, gz = (c * (my * hz - mz * hy), c * (mz * hx - mx * hz),
+                              c * (mx * hy - my * hx) + tz)
+            else:
+                hz = hk * mz
+                gx, gy = c * (my * hz), gm * (mx * hz)
+            s = a2 * (mx * gx + my * gy + mz * gz)
+            d1x = (gx + alpha * (my * gz - mz * gy) + s * mx) / k
+            d1y = (gy + alpha * (mz * gx - mx * gz) + s * my) / k
+            d1z = (gz + alpha * (mx * gy - my * gx) + s * mz) / k
+            px, py, pz = mx + dt * d1x, my + dt * d1y, mz + dt * d1z
+            if noisy:                          # corrector drift d2
+                hz = thz + hk * pz
+                gx, gy, gz = (c * (py * hz - pz * hy), c * (pz * hx - px * hz),
+                              c * (px * hy - py * hx) + tz)
+            else:
+                hz = hk * pz
+                gx, gy = c * (py * hz), gm * (px * hz)
+            s = a2 * (px * gx + py * gy + pz * gz)
+            d2x = (gx + alpha * (py * gz - pz * gy) + s * px) / k
+            d2y = (gy + alpha * (pz * gx - px * gz) + s * py) / k
+            d2z = (gz + alpha * (px * gy - py * gx) + s * pz) / k
+            mx += half_dt * (d1x + d2x)
+            my += half_dt * (d1y + d2y)
+            mz += half_dt * (d1z + d2z)
+            norm = sqrt(mx * mx + my * my + mz * mz)
+            mx, my, mz = mx / norm, my / norm, mz / norm
+            if mz <= level:
+                return n
+        if mz > 0 and sqrt(mx * mx + my * my) < decay_floor:
+            return None
+    return None
+
+
 def t0_crossing_step(p: MagnetParams, Is: float, level: float, horizon: float,
                      dt: float) -> int | None:
     """First step n at which a noiseless magnet has m_z <= level, or None.
 
     Starts T0_TILT_DEG off +z toward +x under Is and runs round(horizon /
-    dt) steps. At T = 0 the tilt only grows or only decays, so a tilt below
-    0.3 of its start while m_z > 0 (checked every 1,000 steps) ends it with
-    None. Bit for bit with the reference `heun_step` of
-    tests/llg_reference.py at zero thermal field: the products of hx = hy
-    = 0 are exact zeros and are left out, gy = c (-mx hz) is gm (mx hz),
-    and the rest is the reference `drift` and `heun_step`, op for op.
+    dt) steps of `_crossing` at zero thermal field, which ends a run whose
+    tilt collapses with None.
     """
     if dt > MAX_DT:
         raise ValueError(f"dt = {dt} exceeds stability guard {MAX_DT}")
-    alpha, hk, tz = p.alpha, p.Hk, stt_rate(p, Is)
-    gm, a2, half_dt = GAMMA * MU0, alpha * alpha, 0.5 * dt
-    c, k = -gm, 1.0 + a2
-    theta0 = math.radians(T0_TILT_DEG)
-    mx, my, mz = math.sin(theta0), 0.0, math.cos(theta0)
-    decay_floor = math.sin(theta0) * 0.3
-    n_steps = int(round(horizon / dt))
-    for start in range(0, n_steps, 1000):
-        for n in range(start + 1, min(start + 1000, n_steps) + 1):
-            hz = hk * mz                       # predictor drift d1
-            gx, gy = c * (my * hz), gm * (mx * hz)
-            s = a2 * (mx * gx + my * gy + mz * tz)
-            d1x = (gx + alpha * (my * tz - mz * gy) + s * mx) / k
-            d1y = (gy + alpha * (mz * gx - mx * tz) + s * my) / k
-            d1z = (tz + alpha * (mx * gy - my * gx) + s * mz) / k
-            px, py, pz = mx + dt * d1x, my + dt * d1y, mz + dt * d1z
-            hz = hk * pz                       # corrector drift d2
-            gx, gy = c * (py * hz), gm * (px * hz)
-            s = a2 * (px * gx + py * gy + pz * tz)
-            d2x = (gx + alpha * (py * tz - pz * gy) + s * px) / k
-            d2y = (gy + alpha * (pz * gx - px * tz) + s * py) / k
-            d2z = (tz + alpha * (px * gy - py * gx) + s * pz) / k
-            mx += half_dt * (d1x + d2x)
-            my += half_dt * (d1y + d2y)
-            mz += half_dt * (d1z + d2z)
-            norm = math.sqrt(mx * mx + my * my + mz * mz)
-            mx, my, mz = mx / norm, my / norm, mz / norm
-            if mz <= level:
-                return n
-        if mz > 0 and math.sqrt(mx * mx + my * my) < decay_floor:
-            return None
-    return None
+    return _crossing(p, Is, level, int(round(horizon / dt)), dt)
 
 
 def t0_switch_time(p: MagnetParams, Is: float, level: float) -> float | None:
@@ -353,61 +387,23 @@ def critical_spin_current(p: MagnetParams, horizon: float = 50e-9,
 def switch_times(p: MagnetParams, Is: float, seeds,
                  cfg: SimConfig) -> list[float | None]:
     """First-passage times of m_z through -mz_threshold [s] at the
-    temperature of `cfg`, one per seed.
+    temperature of `cfg`, one per seed: n dt for the first step n of
+    `_crossing` that leaves m_z <= -mz_threshold, None after t_max.
 
-    Each seed runs alone in scalar floats on its own make_rng(seed,
-    STREAM_SWITCH) and stops at its first crossing: its time is n dt for
-    the first step n that leaves m_z <= -mz_threshold, None after t_max.
-    The start is +z, or at T = 0 (sigma = 0), where +z is a fixed point,
-    the T0_TILT_DEG tilt of `t0_crossing_step`; every seed then has the
-    time `t0_crossing_step(...) * dt`, bit for bit, as the zero thermal
-    products are exact zeros. `Is` must oppose the +z start. Bit-identity
-    contract: each time equals that of a loop of the reference `heun_step`
-    of tests/llg_reference.py fed rng.standard_normal(3) * sigma per step,
-    and each step is that step op for op, as in `t0_crossing_step` but
-    with the thermal hx and hy. Samples come SWITCH_BLOCK steps at a time
-    into a (SWITCH_BLOCK, 3) buffer, scaled in place and read as floats; a
-    generator yields one stream of normals, so one call for 3 k values
-    gives the bits of k calls for 3, in order.
+    Each seed runs alone on its own make_rng(seed, STREAM_SWITCH), bit for
+    bit a loop of the reference `heun_step` of tests/llg_reference.py fed
+    rng.standard_normal(3) * sigma per step from +z. At T = 0 one run from
+    the tilt of `t0_crossing_step` gives every seed its time. `Is` must
+    oppose the +z start.
     """
     if Is >= 0:
         raise ValueError("Is must oppose the initial +z orientation")
-    alpha, hk, tz, dt = p.alpha, p.Hk, stt_rate(p, Is), cfg.dt
-    c, a2, half_dt = -GAMMA * MU0, alpha * alpha, 0.5 * dt
-    k, sigma, level = 1.0 + a2, thermal_sigma(p, cfg), -cfg.mz_threshold
+    dt, sigma, level = cfg.dt, thermal_sigma(p, cfg), -cfg.mz_threshold
     n_steps = int(round(cfg.t_max / dt))
-    noise, times = np.zeros((SWITCH_BLOCK, 3)), []
-    tilt = math.radians(T0_TILT_DEG)
-    start = (0.0, 0.0, 1.0) if sigma else (math.sin(tilt), 0.0, math.cos(tilt))
-    for seed in seeds:
-        rng, n, (mx, my, mz) = make_rng(seed, STREAM_SWITCH), 0, start
-        while n < n_steps and mz > level:
-            if sigma:
-                rng.standard_normal(out=noise)
-                noise *= sigma
-            for hx, hy, thz in noise[:n_steps - n].tolist():
-                n += 1
-                hz = thz + hk * mz                 # predictor drift d1
-                gx, gy = c * (my * hz - mz * hy), c * (mz * hx - mx * hz)
-                gz = c * (mx * hy - my * hx) + tz
-                s = a2 * (mx * gx + my * gy + mz * gz)
-                d1x = (gx + alpha * (my * gz - mz * gy) + s * mx) / k
-                d1y = (gy + alpha * (mz * gx - mx * gz) + s * my) / k
-                d1z = (gz + alpha * (mx * gy - my * gx) + s * mz) / k
-                px, py, pz = mx + dt * d1x, my + dt * d1y, mz + dt * d1z
-                hz = thz + hk * pz                 # corrector drift d2
-                gx, gy = c * (py * hz - pz * hy), c * (pz * hx - px * hz)
-                gz = c * (px * hy - py * hx) + tz
-                s = a2 * (px * gx + py * gy + pz * gz)
-                d2x = (gx + alpha * (py * gz - pz * gy) + s * px) / k
-                d2y = (gy + alpha * (pz * gx - px * gz) + s * py) / k
-                d2z = (gz + alpha * (px * gy - py * gx) + s * pz) / k
-                mx += half_dt * (d1x + d2x)
-                my += half_dt * (d1y + d2y)
-                mz += half_dt * (d1z + d2z)
-                norm = math.sqrt(mx * mx + my * my + mz * mz)
-                mx, my, mz = mx / norm, my / norm, mz / norm
-                if mz <= level:
-                    break
-        times.append(n * dt if mz <= level else None)
-    return times
+    if sigma:
+        steps = [_crossing(p, Is, level, n_steps, dt,
+                           make_rng(seed, STREAM_SWITCH), sigma)
+                 for seed in seeds]
+    else:
+        steps = [_crossing(p, Is, level, n_steps, dt)] * len(seeds)
+    return [None if n is None else n * dt for n in steps]

@@ -1,17 +1,18 @@
 """The stochastic LLG Heun step written out in NumPy: the bit contract of
-`dynamics.GridHeun`, `dynamics.t0_crossing_step` and
-`dynamics.switch_times`; and the critical-current bisection by steps
-alone: the bit contract of `dynamics.critical_spin_current`.
+`dynamics.GridHeun` and of the scalar loop `dynamics._crossing` behind
+`dynamics.t0_crossing_step` and `dynamics.switch_times`; and the
+critical-current bisection by steps alone: the bit contract of
+`dynamics.critical_spin_current`.
 
-The program steps magnets only through those three. This module is their
-written spec: each element of a `GridHeun` step, each scalar of a
-`switch_times` step, and each scalar of a `t0_crossing_step` at zero
-thermal field, goes through the floating-point operations of `heun_step`
-and `drift` below in the same order, so the bit-identity tests compare
-them with this step, never with themselves. Likewise
-`critical_spin_current`, which lets the closed form decide its far
-probes, must return the value of `critical_spin_current` below, which runs
-`t0_crossing_step` at every probe.
+The program steps magnets only through `GridHeun` and that one scalar
+loop. This module is their written spec: each element of a `GridHeun`
+step, and each scalar of a `_crossing` step, at any thermal field, goes
+through the floating-point operations of `heun_step` and `drift` below in
+the same order, so the bit-identity tests compare them with this step,
+never with themselves. Likewise `critical_spin_current`, which lets the
+closed form decide its far probes, must return the value of
+`critical_spin_current` below, which runs `t0_crossing_step` at every
+probe.
 """
 
 import math

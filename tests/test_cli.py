@@ -299,10 +299,15 @@ class TestSweep:
         assert "energy_ratio:" in report
         assert "calibrated-to-published-claims" in report
 
-    def test_too_few_voltages(self, tmp_path, capsys):
-        rc = main(["sweep", "--voltages", "0.5,1.0",
+    @pytest.mark.parametrize("voltages, error", [
+        ("0.5,1.0", "at least 3 distinct sweep voltages"),
+        ("1.0,1.0,1.0", "--voltages: repeated value 1.0"),
+    ], ids=["0.5,1.0", "1.0,1.0,1.0"])
+    def test_too_few_voltages(self, voltages, error, tmp_path, capsys):
+        rc = main(["sweep", "--voltages", voltages,
                    "--out", str(tmp_path / "o")])
         assert rc == 1
+        assert error in capsys.readouterr().err
 
     def test_sizes_plane_matches_reference_outputs(self, tmp_path,
                                                   fast_config, capsys):

@@ -382,6 +382,22 @@ class TestSwitchTime:
         n = t0_crossing_step(P, Is, -cfg.mz_threshold, cfg.t_max, cfg.dt)
         assert switch_times(P, Is, [0, 1], cfg) == [n * cfg.dt] * 2
 
+    def test_zero_temperature_runs_once(self, monkeypatch):
+        # every seed of a noiseless run has the same time: one scalar run
+        # gives all 20
+        crossing, calls = dynamics._crossing, []
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return crossing(*args, **kwargs)
+
+        monkeypatch.setattr(dynamics, "_crossing", spy)
+        cfg = SimConfig(temperature=0.0, t_max=50e-9)
+        times = switch_times(P, -10 * analytic_critical_current(P),
+                             range(20), cfg)
+        assert len(calls) == 1
+        assert times == [times[0]] * 20 and times[0] is not None
+
     def test_wrong_sign_rejected(self):
         with pytest.raises(ValueError):
             switch_times(P, 1e-6, [0], self.CFG)
@@ -437,13 +453,18 @@ class TestSwitchTime:
 class TestT0Crossing:
     """The scalar T = 0 loop of the oracles against the reference loop."""
 
-    @pytest.mark.parametrize("mult", [3, 5, 10, 20])
-    def test_bit_identical_to_reference_loop(self, mult):
+    # the loop checks the tilt once per 256-step block, and its step error
+    # grows with dt: hold it to the reference at coarse steps too
+    @pytest.mark.parametrize("mult, dt", [
+        pytest.param(mult, dt, id=f"{mult}" if dt == 1e-12
+                     else f"{mult}-{dt * 1e12:.0f}ps")
+        for dt in (1e-12, 2e-12, 5e-12) for mult in (3, 5, 10, 20)])
+    def test_bit_identical_to_reference_loop(self, mult, dt):
         # one reference run to m_z <= -0.9 also gives the crossing at 0.5.
         # m_z falls monotonically at T = 0, so with a level equal to the
         # reference m_z after step n, a loop even one ulp above it there
         # crosses at n + 1
-        cfg = SimConfig(temperature=0.0)
+        cfg = SimConfig(temperature=0.0, dt=dt)
         Is = -mult * analytic_critical_current(P)
         mz = []
         t_ref = reference_switch_time(P, Is, 0, cfg, T0_TILT_DEG, trace=mz)

@@ -37,8 +37,8 @@ import numpy as np
 from . import GLYPHS, load_glyph
 from .analysis import (DELAY_WINDOW, Scenario, cmos_sweep, compare, pareto,
                        records_to_csv, sweep_parts)
-from .config import ConfigError, FullConfig, parse_config
-from .core import Pattern, frame_to_pgm, load_pattern_file, save_pattern
+from .config import FullConfig, parse_config
+from .core import Pattern, frame_to_pgm, load_pattern, save_pattern
 from .dynamics import (analytic_critical_current, critical_spin_current,
                        switch_times, t0_crossing_step)
 from .network import (CnnGrid, hebbian_train, load_templates,
@@ -60,20 +60,23 @@ class CliError(Exception):
 # ---------------------------------------------------------------------------
 # plumbing
 
+def _read(path: str, parse, what: str):
+    """parse(text) of a UTF-8 file; a failure names `what` and the path."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return parse(fh.read())
+    except OSError as exc:
+        raise CliError(f"{what} {path}: {exc.strerror}") from exc
+    except ValueError as exc:
+        raise CliError(f"{what} {path}: {exc}") from exc
+
+
 def _load_config(path: str | None) -> tuple[FullConfig, str]:
     """Resolve --config / SPINCNN_CONFIG / defaults; returns (config, digest)."""
     path = path or os.environ.get("SPINCNN_CONFIG")
     if path is None:
         return FullConfig(), "defaults"
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise CliError(f"config {path}: {exc.strerror}") from exc
-    try:
-        cfg = parse_config(text)
-    except ConfigError as exc:
-        raise CliError(f"config {path}: {exc}") from exc
+    cfg, text = _read(path, lambda text: (parse_config(text), text), "config")
     return cfg, hashlib.sha256(text.encode()).hexdigest()
 
 
@@ -81,12 +84,16 @@ def _load_pattern_arg(value: str) -> Pattern:
     """A pattern file path, or the name of a bundled glyph."""
     if value in GLYPHS and not os.path.exists(value):
         return load_glyph(value)
-    try:
-        return load_pattern_file(value)
-    except OSError as exc:
-        raise CliError(f"pattern {value}: {exc.strerror}") from exc
-    except ValueError as exc:
-        raise CliError(f"pattern {value}: {exc}") from exc
+    return _read(value, load_pattern, "pattern")
+
+
+def _check_out_dir(path: str):
+    """Before a run: --out, or its nearest existing parent, is a directory."""
+    head = os.path.abspath(path)
+    while not os.path.exists(head):
+        head = os.path.dirname(head)
+    if not os.path.isdir(head):
+        raise CliError(f"--out {path}: {head} is not a directory")
 
 
 def _demo_i0(full: FullConfig) -> float:
@@ -152,18 +159,13 @@ def cmd_simulate(args, argv: list[str]) -> int:
     if args.seed is not None:
         cfg = replace(cfg, seed=args.seed)
     pattern = _load_pattern_arg(args.pattern)
+    _check_out_dir(args.out)
     model = full.cell_model(_demo_i0(full))
 
     if args.app == "assoc":
         if not args.templates:
             raise CliError("assoc requires --templates (from `spincnn train`)")
-        try:
-            with open(args.templates, "r", encoding="utf-8") as fh:
-                templates = load_templates(fh.read())
-        except OSError as exc:
-            raise CliError(f"templates {args.templates}: {exc.strerror}") from exc
-        except ValueError as exc:
-            raise CliError(f"templates {args.templates}: {exc}") from exc
+        templates = _read(args.templates, load_templates, "templates")
         ta = np.asarray(templates.A)
         if ta.shape[:2] != (pattern.rows, pattern.cols):
             raise CliError(f"templates {args.templates}: trained for "
@@ -210,8 +212,7 @@ def cmd_train(args, argv: list[str]) -> int:
     except ValueError as exc:
         raise CliError(str(exc)) from exc
     rows, cols = pairs[0][0].rows, pairs[0][0].cols
-    out_dir = os.path.dirname(os.path.abspath(args.out))
-    os.makedirs(out_dir, exist_ok=True)
+    os.makedirs(os.path.dirname(os.path.abspath(args.out)), exist_ok=True)
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(save_templates(templates, rows, cols))
     print(f"trained on {len(pairs)} pair(s); templates written to {args.out}")
@@ -288,6 +289,7 @@ def cmd_sweep(args, argv: list[str]) -> int:
     seeds = _list(args.seeds, "--seeds", int)
     if args.jobs < 1:
         raise CliError("--jobs must be >= 1")
+    _check_out_dir(args.out)
     scenario = _scenario(args.app)
     manifest = _Manifest(argv, digest, None)
 
@@ -308,7 +310,6 @@ def cmd_sweep(args, argv: list[str]) -> int:
     frontier = pareto(records)
     if not frontier:
         print("no sweep point converged; no Pareto frontier")
-        manifest.write(args.out)
         return EXIT_NOT_CONVERGED
     _write(args.out, "pareto.csv", _pareto_csv(frontier), manifest)
     cmos_records = cmos_sweep(scenario, [1, 2, 5, 10, 20, 50], full.amplifier)
@@ -459,7 +460,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args, ["spincnn"] + argv)
-    except (CliError, ValueError, RuntimeError) as exc:
+    except (CliError, ValueError, RuntimeError, OSError) as exc:
+        # an OSError here comes from writing outputs; _read maps the inputs'
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
     except ArithmeticError as exc:

@@ -298,11 +298,6 @@ def save_pattern(p: Pattern) -> str:
                    for row in p.to_array())
 
 
-def load_pattern_file(path) -> Pattern:
-    with open(path, "r", encoding="ascii") as fh:
-        return load_pattern(fh.read())
-
-
 def add_noise(p: Pattern, fraction: float, seed: int) -> Pattern:
     """Flip exactly round(fraction * N) distinct pixels, chosen uniformly."""
     if not 0.0 <= fraction <= 1.0:

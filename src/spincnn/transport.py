@@ -4,7 +4,8 @@ The spin accumulation mu_s obeys d^2 mu_s / dx^2 = mu_s / l_sf^2 on the
 channel [0, L] with an ideal sink (mu_s = 0) underneath the output magnet
 and a prescribed injected spin current at x = 0. The spin current is
 J_s = (sigma / e) d mu_s / dx, so the delivered fraction has the closed
-form Is(L) / Is(0) = 1 / cosh(L / l_sf).
+form Is(L) / Is(0) = 1 / cosh(L / l_sf). `solve_drift_diffusion` checks it
+on a finite-difference grid, by elimination without pivoting.
 
 Contributions from multiple input magnets superimpose exactly: the ideal
 sink at the output absorbs the spins, so cross-diffusion between inputs is
@@ -73,7 +74,9 @@ def solve_drift_diffusion(n_points: int, channel: ChannelParams,
     Returns (x, mu_s, J_s): node positions [m], spin accumulation [J] and
     spin current [A] on a uniform grid of n_points nodes. Second-order
     discretization; the transmission Js(L)/Js(0) converges to the closed
-    form at O(1/N^2).
+    form at O(1/N^2). The tridiagonal system is solved by elimination
+    without pivoting, which is safe: as c = (h / l_sf)^2 >= 0, every pivot
+    has |u_k| = 2 + c - s_k / |u_{k-1}| >= 1 (s_1 = 2, else 1).
     """
     if n_points < 16:
         raise ValueError("need at least 16 grid points")
@@ -97,24 +100,23 @@ def solve_drift_diffusion(n_points: int, channel: ChannelParams,
                          f"is out of range for the {n}-point drift-diffusion "
                          "grid: (spacing / l_sf)^2 overflows")
     x = np.linspace(0.0, L, n)
-    # unknowns mu_0 .. mu_{n-2}; mu_{n-1} = 0 (ideal sink)
-    ab = np.zeros((3, n - 1))
-    rhs = np.zeros(n - 1)
     # Neumann BC at x = 0 via ghost node: mu_{-1} = mu_1 + 2 h mu'(0),
     # with (sigma A / e) mu'(0) = -I_inj (current flows toward the sink at
     # +x for positive injection).
     dmu0 = -injected_spin_current_A / SIGMA_A_OVER_Q
-    ab[1, :] = -(2.0 + c)
-    ab[0, 1] = 2.0     # ghost-node reflection doubles the first superdiagonal
-    ab[0, 2:] = 1.0
-    ab[2, :-1] = 1.0
-    rhs[0] = 2.0 * h * dmu0
-    from scipy.linalg import solve_banded  # keeps SciPy off the run path
-    try:
-        mu_in = solve_banded((1, 1), ab, rhs)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover
-        raise RuntimeError("singular drift-diffusion system") from exc
-    mu = np.append(mu_in, 0.0)
+    # unknowns mu_0 .. mu_{n-2}, mu_{n-1} = 0 (ideal sink): diagonal -(2 + c),
+    # off-diagonals 1, but the ghost node doubles the superdiagonal of row 0
+    diag = -(2.0 + c)
+    u = [diag] * (n - 1)
+    y = [2.0 * h * dmu0] + [0.0] * (n - 2)
+    for k in range(1, n - 1):
+        l_k = 1.0 / u[k - 1]
+        u[k] = diag - l_k * (2.0 if k == 1 else 1.0)
+        y[k] = 0.0 - l_k * y[k - 1]  # b_k - l_k y_{k-1}: an underflow is +0
+    mu = [0.0] * n
+    for k in range(n - 2, -1, -1):
+        mu[k] = (y[k] - (2.0 if k == 0 else 1.0) * mu[k + 1]) / u[k]
+    mu = np.array(mu)
     # spin current from second-order derivatives of mu_s
     dmu = np.gradient(mu, h, edge_order=2)
     J = -SIGMA_A_OVER_Q * dmu

@@ -20,7 +20,7 @@ from spincnn import load_glyph
 from spincnn.cli import _trajectory_csv, main
 from spincnn.config import _SCHEMA, FullConfig
 from spincnn.core import (MagnetParams, Pattern, SimConfig, add_noise,
-                          load_pattern_file, save_pattern)
+                          load_pattern, save_pattern)
 from spincnn.dynamics import analytic_critical_current, switch_times
 from spincnn.network import CellModel, Trajectory
 from spincnn.readpath import InverterModel
@@ -56,7 +56,7 @@ class TestSimulate:
                    "--seed", "3", "--out", str(out)])
         assert rc == 0
         assert "converged" in capsys.readouterr().out
-        final = load_pattern_file(out / "final.pat")
+        final = load_pattern((out / "final.pat").read_text())
         assert final == load_glyph("zero")
         names = {p.name for p in out.iterdir()}
         assert {"trajectory.csv", "final.pat", "manifest.json"} <= names
@@ -267,7 +267,8 @@ class TestTrain:
                    "--pattern", paths["one"], "--templates", str(tpl),
                    "--seed", "0", "--out", str(out)])
         assert rc == 0
-        assert load_pattern_file(out / "final.pat") == load_glyph("two")
+        assert load_pattern((out / "final.pat").read_text()) == \
+            load_glyph("two")
 
     def test_bad_pair_syntax(self, tmp_path, capsys):
         rc = main(["train", "--pairs", "only-one-file",
@@ -598,7 +599,8 @@ def test_any_drawn_config_ends_cleanly(text):
             rows = fh.read().splitlines()[1:]
         assert rows and all(math.isfinite(float(v))
                             for row in rows for v in row.split(","))
-        load_pattern_file(os.path.join(out, "final.pat"))
+        with open(os.path.join(out, "final.pat")) as fh:
+            load_pattern(fh.read())
 
 
 def test_channel_beyond_the_float_range_simulates(tmp_path, capsys):
@@ -613,13 +615,52 @@ def test_channel_beyond_the_float_range_simulates(tmp_path, capsys):
     assert rc in (0, 2), capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["simulate", "sweep", "train"])
+def test_unusable_out_exits_one_with_one_line(tmp_path, monkeypatch, capsys,
+                                              command):
+    # simulate and sweep refuse an --out file, or a path under one, before
+    # anything runs; train cannot write its template file into a
+    # directory. Each ends with one error line, not a traceback.
+    import spincnn.cli as cli
+    started = []
+    monkeypatch.setattr(cli, "run", lambda *a, **k: started.append("run"))
+    monkeypatch.setattr(cli, "sweep_parts",
+                        lambda *a, **k: started.append("sweep") or [])
+    out = tmp_path / "out"
+    if command == "train":
+        out.mkdir()
+        argvs = [["train", "--pairs", "one:two", "--out", str(out)]]
+    else:
+        out.write_text("kept\n")
+        pattern = ["--pattern", "zero"] if command == "simulate" else []
+        argvs = [[command, "--out", str(path)] + pattern
+                 for path in (out, out / "sub")]
+    for argv in argvs:
+        assert main(argv) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and \
+            str(out) in err[0], err
+    assert not started
+    assert out.is_dir() if command == "train" else \
+        out.read_text() == "kept\n"
+
+
 def test_cli_import_loads_no_scipy():
-    # SciPy is needed only by `oracle transmission`, which imports it where
-    # it calls it; a fresh interpreter shows what importing the CLI loads
+    # NumPy is the only runtime dependency: importing the CLI loads no
+    # SciPy module, and `oracle transmission`, whose drift-diffusion solve
+    # is the program's one linear system, runs with SciPy blocked
     src = os.path.dirname(os.path.dirname(spincnn.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    env.pop("SPINCNN_CONFIG", None)
     proc = subprocess.run(
         [sys.executable, "-c", "import sys, spincnn.cli; print(sorted(m for m"
          " in sys.modules if m.partition('.')[0] == 'scipy'))"],
-        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src))
+        capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys; sys.modules['scipy'] = None; "
+         "from spincnn.cli import main; sys.exit(main(['oracle', "
+         "'transmission']))"], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "agreement: yes"

@@ -10,9 +10,9 @@ import pytest
 from spincnn.core import Pattern
 from spincnn.network import CellModel, CnnGrid, net_currents, \
     noise_filter_templates
-from spincnn.transport import (ChannelParams, injected_spin_current,
-                               numeric_transmission, solve_drift_diffusion,
-                               spin_transmission)
+from spincnn.transport import (SIGMA_A_OVER_Q, ChannelParams,
+                               injected_spin_current, numeric_transmission,
+                               solve_drift_diffusion, spin_transmission)
 
 CH = ChannelParams()
 
@@ -85,6 +85,27 @@ class TestNumericBvp:
     def test_minimum_grid_size(self):
         with pytest.raises(ValueError):
             solve_drift_diffusion(8, CH, 1e-6)
+
+    @pytest.mark.parametrize("n", [16, 1024, 4096])
+    @pytest.mark.parametrize("channel", [
+        CH, ChannelParams(L=2.1e-6), ChannelParams(L=1e-170)],
+        ids=["default", "L=5l_sf", "c=0"])
+    def test_matches_banded_lu_reference(self, n, channel):
+        # SciPy's banded LU on the same system: diagonal -(2 + c),
+        # off-diagonals 1, the ghost node doubling the first superdiagonal
+        from scipy.linalg import solve_banded
+        h = channel.L / (n - 1)
+        c = h * h / channel.l_sf ** 2
+        if channel.L < 1e-100:
+            assert c == 0.0  # h^2 underflows
+        ab = np.zeros((3, n - 1))
+        ab[0, 1], ab[0, 2:], ab[1], ab[2, :-1] = 2.0, 1.0, -(2.0 + c), 1.0
+        rhs = np.zeros(n - 1)
+        rhs[0] = 2.0 * h * (-1e-6 / SIGMA_A_OVER_Q)
+        ref = solve_banded((1, 1), ab, rhs)
+        _, mu, _ = solve_drift_diffusion(n, channel, 1e-6)
+        assert mu[-1] == 0.0
+        assert np.max(np.abs(mu[:-1] - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
 class TestInjection:

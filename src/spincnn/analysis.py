@@ -15,6 +15,9 @@ A sweep runs its (voltage, size, seed) points as members of grid
 ensembles (`network.run_many`). Each member's run is bit for bit the one
 it gets alone, so the records do not depend on how the points are
 grouped, nor on the number of worker processes.
+
+It formats the sweep outputs too: `sweep.csv`, `pareto.csv` and
+`comparison.txt` (`records_to_csv`, `frontier_to_csv`, `comparison_report`).
 """
 
 from __future__ import annotations
@@ -322,4 +325,36 @@ def records_to_csv(records: list[SweepRecord]) -> str:
             f"{e.total * 1e15:.6g}",
             f"{r.area * 1e12:.6g}",
         ]))
+    return "\n".join(lines) + "\n"
+
+
+def frontier_to_csv(frontier) -> str:
+    """pareto.csv: one row per frontier point of `pareto`, in its order."""
+    lines = ["size_mult,v_drive_V,delay_ns,e_total_fJ,area_um2"]
+    for a in frontier:
+        lines.append(",".join([
+            str(a["size_mult"]),
+            f"{a['v_drive']:.6g}",
+            f"{a['delay'] * 1e9:.6g}",
+            f"{a['energy'] * 1e15:.6g}",
+            f"{a['area'] * 1e12:.6g}",
+        ]))
+    return "\n".join(lines) + "\n"
+
+
+def comparison_report(report: dict, s: Scenario) -> str:
+    """comparison.txt: one line per key of `compare`'s report, in its order."""
+    lines = [
+        f"Scenario: {s.name}",
+        "",
+        "Spintronic minimum-energy point versus the CMOS analog baseline at",
+        f"matched delay (nearest pairing within {DELAY_WINDOW:g}x). "
+        "The CMOS numbers come",
+        "from a calibrated scaling model, not from independent circuit",
+        "simulation.",
+        "",
+    ]
+    for key, value in report.items():
+        lines.append(f"{key}: {value:.6g}" if isinstance(value, float)
+                     else f"{key}: {value}")
     return "\n".join(lines) + "\n"

@@ -13,7 +13,11 @@ Subcommands:
               independent numeric computations; exits nonzero on
               disagreement.
 
-Exit codes: 0 converged / agreed, 2 not converged, 1 error.
+Exit codes: 0 converged / agreed, 2 not converged, 1 error: a user error
+is a ValueError, printed as one `error:` line.
+
+This module formats `trajectory.csv`; `analysis` formats the three sweep
+outputs, `core` the frames and patterns and `network` the template file.
 
 All CSV output is byte-stable across reruns with identical flags and seed
 (including ``--jobs > 1``); wall-clock timestamps appear only in the
@@ -35,8 +39,8 @@ from dataclasses import replace
 import numpy as np
 
 from . import GLYPHS, load_glyph
-from .analysis import (DELAY_WINDOW, Scenario, cmos_sweep, compare, pareto,
-                       records_to_csv, sweep_parts)
+from .analysis import (Scenario, cmos_sweep, compare, comparison_report,
+                       frontier_to_csv, pareto, records_to_csv, sweep_parts)
 from .config import FullConfig, parse_config
 from .core import Pattern, frame_to_pgm, load_pattern, save_pattern
 from .dynamics import (analytic_critical_current, critical_spin_current,
@@ -53,10 +57,6 @@ EXIT_NOT_CONVERGED = 2
 MAX_FRAME_IMAGES = 16
 
 
-class CliError(Exception):
-    """User-facing error: message printed to stderr, exit code 1."""
-
-
 # ---------------------------------------------------------------------------
 # plumbing
 
@@ -66,9 +66,9 @@ def _read(path: str, parse, what: str):
         with open(path, "r", encoding="utf-8") as fh:
             return parse(fh.read())
     except OSError as exc:
-        raise CliError(f"{what} {path}: {exc.strerror}") from exc
+        raise ValueError(f"{what} {path}: {exc.strerror}") from exc
     except ValueError as exc:
-        raise CliError(f"{what} {path}: {exc}") from exc
+        raise ValueError(f"{what} {path}: {exc}") from exc
 
 
 def _load_config(path: str | None) -> tuple[FullConfig, str]:
@@ -89,11 +89,13 @@ def _load_pattern_arg(value: str) -> Pattern:
 
 def _check_out_dir(path: str):
     """Before a run: --out, or its nearest existing parent, is a directory."""
+    if not path:
+        raise ValueError("--out: empty path")
     head = os.path.abspath(path)
     while not os.path.exists(head):
         head = os.path.dirname(head)
     if not os.path.isdir(head):
-        raise CliError(f"--out {path}: {head} is not a directory")
+        raise ValueError(f"--out {path}: {head} is not a directory")
 
 
 def _demo_i0(full: FullConfig) -> float:
@@ -105,33 +107,31 @@ def _demo_i0(full: FullConfig) -> float:
 class _Manifest:
     """Run manifest: command line, config digest, seed, wall time, outputs."""
 
-    def __init__(self, argv: list[str], config_digest: str, seed: int | None):
+    def __init__(self, out_dir: str, argv: list, digest: str, seed: int | None):
+        self.out_dir = out_dir
         self.data = {
             "command_line": argv,
-            "config_digest": config_digest,
+            "config_digest": digest,
             "seed": seed,
             "start_time": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
             "end_time": None,
             "outputs": [],
         }
 
-    def add(self, path: str):
-        self.data["outputs"].append(os.path.basename(path))
+    def add(self, name: str, text: str):
+        """Write one output file, making out_dir if need be, and list it."""
+        os.makedirs(self.out_dir, exist_ok=True)
+        path = os.path.join(self.out_dir, name)
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        self.data["outputs"].append(name)
 
-    def write(self, out_dir: str):
+    def write(self):
         self.data["end_time"] = time.strftime("%Y-%m-%dT%H:%M:%S%z")
-        path = os.path.join(out_dir, "manifest.json")
+        path = os.path.join(self.out_dir, "manifest.json")
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(self.data, fh, indent=2)
             fh.write("\n")
-
-
-def _write(out_dir: str, name: str, text: str, manifest: _Manifest) -> str:
-    path = os.path.join(out_dir, name)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
-    manifest.add(path)
-    return path
 
 
 def _trajectory_csv(traj, model) -> str:
@@ -154,6 +154,10 @@ def _trajectory_csv(traj, model) -> str:
 # simulate
 
 def cmd_simulate(args, argv: list[str]) -> int:
+    if args.templates and args.app != "assoc":
+        raise ValueError("--templates needs --app assoc")
+    if args.app == "assoc" and not args.templates:
+        raise ValueError("assoc requires --templates (from `spincnn train`)")
     full, digest = _load_config(args.config)
     cfg = full.sim
     if args.seed is not None:
@@ -163,31 +167,26 @@ def cmd_simulate(args, argv: list[str]) -> int:
     model = full.cell_model(_demo_i0(full))
 
     if args.app == "assoc":
-        if not args.templates:
-            raise CliError("assoc requires --templates (from `spincnn train`)")
         templates = _read(args.templates, load_templates, "templates")
         ta = np.asarray(templates.A)
         if ta.shape[:2] != (pattern.rows, pattern.cols):
-            raise CliError(f"templates {args.templates}: trained for "
-                           f"{ta.shape[0]}x{ta.shape[1]} grids, pattern is "
-                           f"{pattern.rows}x{pattern.cols}")
+            raise ValueError(f"templates {args.templates}: trained for "
+                             f"{ta.shape[0]}x{ta.shape[1]} grids, pattern is "
+                             f"{pattern.rows}x{pattern.cols}")
     else:
         templates = noise_filter_templates()
     traj = run(CnnGrid.from_pattern(pattern, pattern, templates), cfg, model)
 
-    os.makedirs(args.out, exist_ok=True)
-    manifest = _Manifest(argv, digest, cfg.seed)
-    _write(args.out, "trajectory.csv",
-           _trajectory_csv(traj, model), manifest)
+    manifest = _Manifest(args.out, argv, digest, cfg.seed)
+    manifest.add("trajectory.csv", _trajectory_csv(traj, model))
     stride = max(1, math.ceil(len(traj.mz) / MAX_FRAME_IMAGES))
     indices = list(range(0, len(traj.mz), stride))
     if indices[-1] != len(traj.mz) - 1:
         indices.append(len(traj.mz) - 1)
     for k, idx in enumerate(indices):
-        _write(args.out, f"frame_{k:04d}.pgm", frame_to_pgm(traj.mz[idx]),
-               manifest)
-    _write(args.out, "final.pat", save_pattern(traj.final_pattern), manifest)
-    manifest.write(args.out)
+        manifest.add(f"frame_{k:04d}.pgm", frame_to_pgm(traj.mz[idx]))
+    manifest.add("final.pat", save_pattern(traj.final_pattern))
+    manifest.write()
 
     if traj.converged:
         print(f"converged at {traj.convergence_time * 1e9:.3f} ns "
@@ -204,13 +203,12 @@ def cmd_train(args, argv: list[str]) -> int:
     pairs = []
     for spec_ in args.pairs:
         if ":" not in spec_:
-            raise CliError(f"--pairs entry {spec_!r} must be cue:target")
+            raise ValueError(f"--pairs entry {spec_!r} must be cue:target")
         cue_s, target_s = spec_.split(":", 1)
         pairs.append((_load_pattern_arg(cue_s), _load_pattern_arg(target_s)))
-    try:
-        templates = hebbian_train(pairs)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+    if not args.out:
+        raise ValueError("--out: empty path")
+    templates = hebbian_train(pairs)
     rows, cols = pairs[0][0].rows, pairs[0][0].cols
     os.makedirs(os.path.dirname(os.path.abspath(args.out)), exist_ok=True)
     with open(args.out, "w", encoding="utf-8") as fh:
@@ -227,12 +225,12 @@ def _list(text: str, flag: str, kind) -> list:
     try:
         values = [kind(v) for v in text.split(",") if v.strip()]
     except ValueError as exc:
-        raise CliError(f"{flag}: {exc}") from exc
+        raise ValueError(f"{flag}: {exc}") from exc
     if not values:
-        raise CliError(f"{flag}: empty list")
+        raise ValueError(f"{flag}: empty list")
     for i, v in enumerate(values):
         if v in values[:i]:
-            raise CliError(f"{flag}: repeated value {v}")
+            raise ValueError(f"{flag}: repeated value {v}")
     return values
 
 
@@ -247,51 +245,16 @@ def _scenario(app: str) -> Scenario:
                     noise_filter_templates(), 0.1)
 
 
-def _pareto_csv(frontier) -> str:
-    lines = ["size_mult,v_drive_V,delay_ns,e_total_fJ,area_um2"]
-    for a in frontier:
-        lines.append(",".join([
-            str(a["size_mult"]),
-            f"{a['v_drive']:.6g}",
-            f"{a['delay'] * 1e9:.6g}",
-            f"{a['energy'] * 1e15:.6g}",
-            f"{a['area'] * 1e12:.6g}",
-        ]))
-    return "\n".join(lines) + "\n"
-
-
-def _comparison_report(report: dict, scenario: Scenario) -> str:
-    lines = [
-        f"Scenario: {scenario.name}",
-        "",
-        "Spintronic minimum-energy point versus the CMOS analog baseline at",
-        f"matched delay (nearest pairing within {DELAY_WINDOW:g}x). "
-        "The CMOS numbers come",
-        "from a calibrated scaling model, not from independent circuit",
-        "simulation.",
-        "",
-    ]
-    for key in ("spin_energy_J", "spin_delay_s", "spin_area_m2",
-                "cmos_energy_J", "cmos_delay_s", "cmos_area_m2",
-                "energy_ratio", "area_ratio", "meets_10x", "cmos_label"):
-        value = report[key]
-        if isinstance(value, float):
-            lines.append(f"{key}: {value:.6g}")
-        else:
-            lines.append(f"{key}: {value}")
-    return "\n".join(lines) + "\n"
-
-
 def cmd_sweep(args, argv: list[str]) -> int:
     full, digest = _load_config(args.config)
     voltages = _list(args.voltages, "--voltages", float)
     sizes = _list(args.sizes, "--sizes", int)
     seeds = _list(args.seeds, "--seeds", int)
     if args.jobs < 1:
-        raise CliError("--jobs must be >= 1")
+        raise ValueError("--jobs must be >= 1")
     _check_out_dir(args.out)
     scenario = _scenario(args.app)
-    manifest = _Manifest(argv, digest, None)
+    manifest = _Manifest(args.out, argv, digest, None)
 
     records = []
     try:
@@ -303,20 +266,18 @@ def cmd_sweep(args, argv: list[str]) -> int:
         # flush the ensembles that finished, even on interruption
         records.sort(key=lambda r: (r.v_drive, r.size_mult, r.seed))
         if records:
-            os.makedirs(args.out, exist_ok=True)
-            _write(args.out, "sweep.csv", records_to_csv(records), manifest)
-            manifest.write(args.out)
+            manifest.add("sweep.csv", records_to_csv(records))
+            manifest.write()
 
     frontier = pareto(records)
     if not frontier:
         print("no sweep point converged; no Pareto frontier")
         return EXIT_NOT_CONVERGED
-    _write(args.out, "pareto.csv", _pareto_csv(frontier), manifest)
+    manifest.add("pareto.csv", frontier_to_csv(frontier))
     cmos_records = cmos_sweep(scenario, [1, 2, 5, 10, 20, 50], full.amplifier)
     report = compare(frontier, cmos_records)
-    _write(args.out, "comparison.txt", _comparison_report(report, scenario),
-           manifest)
-    manifest.write(args.out)
+    manifest.add("comparison.txt", comparison_report(report, scenario))
+    manifest.write()
     print(f"{len(records)} sweep points, {len(frontier)} Pareto points; "
           f"energy ratio {report['energy_ratio']:.3g}x at matched delay")
     return EXIT_OK
@@ -325,16 +286,20 @@ def cmd_sweep(args, argv: list[str]) -> int:
 # ---------------------------------------------------------------------------
 # oracle
 
+def _verdict(label: str, ok: bool) -> int:
+    """Print an oracle's last line, `label: yes|NO`; return its exit code."""
+    print(f"{label}: " + ("yes" if ok else "NO"))
+    return EXIT_OK if ok else EXIT_ERROR
+
+
 def _oracle_critical_current(full: FullConfig) -> int:
     analytic = analytic_critical_current(full.magnet)
     numeric = critical_spin_current(full.magnet)
     ratio = numeric / analytic
-    ok = 0.5 <= ratio <= 2.0
     print(f"analytic small-angle estimate: {analytic:.6e} A")
     print(f"numeric bisection:             {numeric:.6e} A")
     print(f"ratio numeric/analytic:        {ratio:.4f} (tolerance: factor 2)")
-    print("agreement: " + ("yes" if ok else "NO"))
-    return EXIT_OK if ok else EXIT_ERROR
+    return _verdict("agreement", 0.5 <= ratio <= 2.0)
 
 
 def _oracle_transmission(full: FullConfig) -> int:
@@ -342,12 +307,10 @@ def _oracle_transmission(full: FullConfig) -> int:
     analytic = spin_transmission(ch)
     numeric = numeric_transmission(1024, ch)
     err = abs(numeric - analytic)
-    ok = err <= 1e-6
     print(f"analytic 1/cosh(L/l_sf): {analytic:.10f}")
     print(f"numeric BVP (N=1024):    {numeric:.10f}")
     print(f"absolute error:          {err:.3e} (tolerance: 1e-06)")
-    print("agreement: " + ("yes" if ok else "NO"))
-    return EXIT_OK if ok else EXIT_ERROR
+    return _verdict("agreement", err <= 1e-6)
 
 
 def _oracle_read_curve(full: FullConfig) -> int:
@@ -367,8 +330,7 @@ def _oracle_read_curve(full: FullConfig) -> int:
             f"{div[i]:.6g},{out[i]:.6g}" for div, out in columns))
     ok = all(all(out[i] <= out[i + 1] + 1e-12 for i in range(len(out) - 1))
              for _, out in columns)
-    print("# monotone in mz: " + ("yes" if ok else "NO"))
-    return EXIT_OK if ok else EXIT_ERROR
+    return _verdict("# monotone in mz", ok)
 
 
 def _oracle_switch_stats(full: FullConfig) -> int:
@@ -386,25 +348,25 @@ def _oracle_switch_stats(full: FullConfig) -> int:
         return EXIT_ERROR
     mean = float(np.mean(times))
     ratio = mean / t0
-    ok = 1 / 3 <= ratio <= 3.0 and len(times) >= 18
     print(f"deterministic (T = 0) switch time: {t0 * 1e9:.4f} ns")
     print(f"stochastic mean over {len(times)}/20 seeds at "
           f"{sim.temperature:.0f} K: {mean * 1e9:.4f} ns "
           f"(std {float(np.std(times)) * 1e9:.4f} ns)")
     print(f"ratio stochastic/deterministic: {ratio:.3f} (tolerance: factor 3)")
-    print("agreement: " + ("yes" if ok else "NO"))
-    return EXIT_OK if ok else EXIT_ERROR
+    return _verdict("agreement", 1 / 3 <= ratio <= 3.0 and len(times) >= 18)
+
+
+ORACLES = {
+    "critical-current": _oracle_critical_current,
+    "transmission": _oracle_transmission,
+    "read-curve": _oracle_read_curve,
+    "switch-stats": _oracle_switch_stats,
+}
 
 
 def cmd_oracle(args, argv: list[str]) -> int:
     full, _ = _load_config(args.config)
-    dispatch = {
-        "critical-current": _oracle_critical_current,
-        "transmission": _oracle_transmission,
-        "read-curve": _oracle_read_curve,
-        "switch-stats": _oracle_switch_stats,
-    }
-    return dispatch[args.check](full)
+    return ORACLES[args.check](full)
 
 
 # ---------------------------------------------------------------------------
@@ -447,8 +409,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("oracle", help="analytic-versus-numeric cross-checks")
-    p.add_argument("check", choices=("critical-current", "transmission",
-                                     "read-curve", "switch-stats"))
+    p.add_argument("check", choices=ORACLES)
     p.add_argument("--config", help="config file (or $SPINCNN_CONFIG)")
     p.set_defaults(func=cmd_oracle)
     return parser
@@ -460,7 +421,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args, ["spincnn"] + argv)
-    except (CliError, ValueError, RuntimeError, OSError) as exc:
+    except (ValueError, RuntimeError, OSError) as exc:
         # an OSError here comes from writing outputs; _read maps the inputs'
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR

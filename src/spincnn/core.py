@@ -7,6 +7,7 @@ pointing up (+z), -1 = white = magnetization pointing down (-z).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -269,6 +270,11 @@ class SimConfig:
             raise ValueError("hold_time must be >= 0")
         if self.sample_interval <= 0:
             raise ValueError("sample_interval must be > 0")
+        for name in ("t_max", "hold_time", "sample_interval"):
+            value = getattr(self, name)
+            if not math.isfinite(value / self.dt):
+                raise ValueError(f"{name} = {value:g} s over dt = {self.dt:g} "
+                                 "s overflows the step count")
 
 
 # ---------------------------------------------------------------------------

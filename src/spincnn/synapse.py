@@ -35,21 +35,17 @@ class SynapseConfig:
             raise ValueError("signs must be four values in {-1, +1}")
 
 
+# all 16 sign vectors, +1 before -1 position by position
+_CONFIGS = tuple(SynapseConfig(s) for s in product((1, -1), repeat=4))
+
+
 def decode_config(c: SynapseConfig) -> int:
     return sum(s * w for s, w in zip(c.signs, BRANCH_SIZES))
 
 
 def representable_weights() -> list[int]:
     """All achievable +-4 +-2 +-1 +-1 sums, ascending."""
-    return sorted({sum(s * w for s, w in zip(signs, BRANCH_SIZES))
-                   for signs in product((-1, 1), repeat=4)})
-
-
-def _all_configs():
-    # ordered so that +1 sorts before -1 position by position
-    for signs in sorted(product((-1, 1), repeat=4),
-                        key=lambda t: tuple(0 if s == 1 else 1 for s in t)):
-        yield SynapseConfig(signs)
+    return sorted({decode_config(c) for c in _CONFIGS})
 
 
 def encode_weight(w: int) -> SynapseConfig:
@@ -59,7 +55,7 @@ def encode_weight(w: int) -> SynapseConfig:
     over -1 at each position, scanned left to right (so +8 -> (+,+,+,+),
     0 -> (+,-,-,-), +4 -> (+,+,-,-)).
     """
-    for c in _all_configs():
+    for c in _CONFIGS:
         if decode_config(c) == w:
             return c
     raise ValueError(f"weight {w} is not representable")

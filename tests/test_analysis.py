@@ -165,6 +165,13 @@ class TestAggregation:
         assert front[1]["energy"] == pytest.approx(3e-12)
         assert front[0]["area"] < front[1]["area"]
 
+    def test_pareto_skips_a_size_with_no_converged_point(self):
+        recs = [make_record(0.2, 1, 0, True, 2e-9, total=4e-12, area=1e-11),
+                make_record(0.2, 2, 0, False, 20e-9, area=2e-11),
+                make_record(0.8, 2, 0, False, 20e-9, area=2e-11)]
+        assert [(f["size_mult"], f["v_drive"]) for f in pareto(recs)] == \
+            [(1, 0.2)]
+
     def test_pareto_empty_rejected(self):
         with pytest.raises(ValueError):
             pareto([])
@@ -186,6 +193,11 @@ class TestCompare:
         rep = compare(self.SPIN, cmos)
         assert rep["meets_10x"] is True
         assert rep["cmos_label"] == "calibrated-to-published-claims"
+
+    def test_empty_frontier_rejected(self):
+        cmos = [{"scale": 1, "delay": 1e-8, "energy": 1e-10, "area": 5e-11}]
+        with pytest.raises(ValueError, match="frontiers must be non-empty"):
+            compare([], cmos)
 
     def test_no_delay_overlap_rejected(self):
         cmos = [{"scale": 1, "delay": 1e-6, "energy": 1e-9, "area": 5e-10}]

@@ -86,6 +86,37 @@ class TestSimulate:
         assert rc == 1
         assert "--templates" in capsys.readouterr().err
 
+    def test_templates_without_assoc_is_usage_error(self, tmp_path,
+                                                    monkeypatch, capsys):
+        # the noise filter has fixed templates: a template file given to
+        # it would be ignored
+        import spincnn.cli as cli
+        monkeypatch.setattr(cli, "run", lambda *a, **k: pytest.fail("ran"))
+        tpl = tmp_path / "heb.tpl"
+        tpl.write_text("30 20\n" + ("0 " * 18 + "0\n") * 600)
+        out = tmp_path / "o"
+        rc = main(["simulate", "--templates", str(tpl), "--pattern", "zero",
+                   "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "error: --templates needs --app assoc"]
+        assert not out.exists()
+
+    def test_templates_for_another_grid_size_exit_one(self, tmp_path,
+                                                      capsys):
+        tpl = tmp_path / "zero.tpl"
+        tpl.write_text("30 20\n" + ("0 " * 18 + "0\n") * 600)
+        pattern = tmp_path / "p.pat"
+        pattern.write_text("#..#\n.##.\n.##.\n#..#\n")
+        out = tmp_path / "o"
+        rc = main(["simulate", "--app", "assoc", "--templates", str(tpl),
+                   "--pattern", str(pattern), "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: templates {tpl}: trained for 30x20 grids, pattern is "
+            "4x4"]
+        assert not out.exists()
+
     def test_nonconvergence_exit_code(self, tmp_path, capsys):
         # sub-critical drive at T = 0: nothing settles wrong pixels
         cfg = tmp_path / "sub.cfg"
@@ -97,6 +128,21 @@ class TestSimulate:
                    "--out", str(tmp_path / "o")])
         assert rc == 2
         assert "not converged" in capsys.readouterr().out
+
+    def test_frame_images_end_on_the_last_sample(self, tmp_path, capsys):
+        # 18 samples, 0 to 1.7 ns: every second one from 0 ns, then the
+        # last, 10 images in all
+        cfg = tmp_path / "sub.cfg"
+        cfg.write_text("[sim]\ndt = 2e-12\nt_max = 1.7e-9\ntemperature = 0\n"
+                       "[drive]\ni0_over_ic = 0.5\n")
+        noisy = tmp_path / "noisy.pat"
+        noisy.write_text(save_pattern(add_noise(load_glyph("zero"), 0.1, 0)))
+        out = tmp_path / "o"
+        assert main(["simulate", "--config", str(cfg), "--pattern",
+                     str(noisy), "--out", str(out)]) == 2
+        assert len((out / "trajectory.csv").read_text().splitlines()) == 19
+        assert sorted(p.name for p in out.glob("frame_*.pgm")) == \
+            [f"frame_{k:04d}.pgm" for k in range(10)]
 
     def test_trajectory_csv_is_rerun_identical(self, tmp_path, fast_config):
         args = ["simulate", "--config", fast_config, "--pattern", "zero",
@@ -180,6 +226,12 @@ class TestSimulate:
          "t_ox_read = 2e-09 m and lambda_ox = 2e-10 m, outside (-1, 1)"),
         ("[mtj]\nlambda_ox = 1e-300\nt_ox_ref = 2.1e-9\n", "[mtj]: lambda_ox "
          "= 1e-300 m with t_ox_ref = 2.1e-09 m leaves the float range"),
+        ("[sim]\nt_max = 1e300\n", "[sim]: t_max = 1e+300 s over dt = "
+         "1e-12 s overflows the step count"),
+        ("[sim]\nhold_time = 1e300\n", "[sim]: hold_time = 1e+300 s over dt "
+         "= 1e-12 s overflows the step count"),
+        ("[sim]\nsample_interval = 1e300\n", "[sim]: sample_interval = "
+         "1e+300 s over dt = 1e-12 s overflows the step count"),
     ])
     def test_rejected_config_names_file_and_key(self, tmp_path, capsys,
                                                 text, named):
@@ -300,15 +352,40 @@ class TestSweep:
         assert "energy_ratio:" in report
         assert "calibrated-to-published-claims" in report
 
-    @pytest.mark.parametrize("voltages, error", [
-        ("0.5,1.0", "at least 3 distinct sweep voltages"),
-        ("1.0,1.0,1.0", "--voltages: repeated value 1.0"),
-    ], ids=["0.5,1.0", "1.0,1.0,1.0"])
-    def test_too_few_voltages(self, voltages, error, tmp_path, capsys):
-        rc = main(["sweep", "--voltages", voltages,
-                   "--out", str(tmp_path / "o")])
+    @pytest.mark.parametrize("flags, error", [
+        ("--voltages 0.5,1.0", "need at least 3 distinct sweep voltages"),
+        ("--voltages 1.0,1.0,1.0", "--voltages: repeated value 1.0"),
+        ("--voltages 0.5,x,1.0",
+         "--voltages: could not convert string to float: 'x'"),
+        ("--voltages ,", "--voltages: empty list"),
+        ("--sizes 1.5", "--sizes: invalid literal for int() with base 10: "
+         "'1.5'"),
+        ("--jobs 0", "--jobs must be >= 1"),
+    ], ids=["0.5,1.0", "1.0,1.0,1.0", "bad-float", "empty", "bad-int",
+            "jobs-0"])
+    def test_too_few_voltages(self, flags, error, tmp_path, capsys):
+        out = tmp_path / "o"
+        rc = main(["sweep", *flags.split(), "--out", str(out)])
         assert rc == 1
-        assert error in capsys.readouterr().err
+        assert capsys.readouterr().err.splitlines() == [f"error: {error}"]
+        assert not out.exists()
+
+    def test_no_converged_point_exits_two_without_a_frontier(self, tmp_path,
+                                                            capsys):
+        # 0.4 ns is too short for any noisy pixel to flip and hold
+        cfg = tmp_path / "short.cfg"
+        cfg.write_text("[sim]\ndt = 2e-12\nt_max = 0.4e-9\n"
+                       "hold_time = 0.2e-9\n")
+        out = tmp_path / "sw"
+        assert main(["sweep", "--config", str(cfg), "--voltages",
+                     "0.27,0.52,1.0", "--seeds", "0", "--out", str(out)]) == 2
+        assert capsys.readouterr().out == \
+            "no sweep point converged; no Pareto frontier\n"
+        assert sorted(p.name for p in out.iterdir()) == \
+            ["manifest.json", "sweep.csv"]
+        assert len((out / "sweep.csv").read_text().splitlines()) == 1 + 3
+        assert json.loads((out / "manifest.json").read_text())["outputs"] \
+            == ["sweep.csv"]
 
     def test_sizes_plane_matches_reference_outputs(self, tmp_path,
                                                   fast_config, capsys):
@@ -444,6 +521,23 @@ class TestOracle:
         out = capsys.readouterr().out
         assert "20/20 seeds at 0 K: 1.5560 ns (std 0.0000 ns)" in out
         assert "ratio stochastic/deterministic: 1.000" in out
+
+    def test_switch_stats_without_a_t0_switch_exits_one(self, tmp_path,
+                                                        capsys):
+        cfg = tmp_path / "sub.cfg"
+        cfg.write_text("[drive]\ni0_over_ic = 0.5\n")
+        assert main(["oracle", "switch-stats", "--config", str(cfg)]) == 1
+        assert capsys.readouterr().out == \
+            "drive -3.285e-06 A does not switch at T = 0\n"
+
+    def test_switch_stats_with_no_realisation_switched_exits_one(
+            self, monkeypatch, capsys):
+        import spincnn.cli as cli
+        monkeypatch.setattr(cli, "switch_times",
+                            lambda p, Is, seeds, sim: [None for _ in seeds])
+        assert main(["oracle", "switch-stats"]) == 1
+        assert capsys.readouterr().out == \
+            "no stochastic realization switched\n"
 
     def test_critical_current_agrees(self, capsys):
         assert main(["oracle", "critical-current"]) == 0
@@ -618,9 +712,10 @@ def test_channel_beyond_the_float_range_simulates(tmp_path, capsys):
 @pytest.mark.parametrize("command", ["simulate", "sweep", "train"])
 def test_unusable_out_exits_one_with_one_line(tmp_path, monkeypatch, capsys,
                                               command):
-    # simulate and sweep refuse an --out file, or a path under one, before
-    # anything runs; train cannot write its template file into a
-    # directory. Each ends with one error line, not a traceback.
+    # simulate and sweep refuse an --out file, or a path under one, and all
+    # three refuse an empty --out, before anything runs; train cannot write
+    # its template file into a directory. Each ends with one error line,
+    # not a traceback.
     import spincnn.cli as cli
     started = []
     monkeypatch.setattr(cli, "run", lambda *a, **k: started.append("run"))
@@ -640,9 +735,28 @@ def test_unusable_out_exits_one_with_one_line(tmp_path, monkeypatch, capsys,
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ") and \
             str(out) in err[0], err
+    monkeypatch.setattr(cli, "hebbian_train",
+                        lambda *a, **k: started.append("train"))
+    argv = list(argvs[0])
+    argv[argv.index("--out") + 1] = ""
+    assert main(argv) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "error: --out: empty path"]
     assert not started
     assert out.is_dir() if command == "train" else \
         out.read_text() == "kept\n"
+
+
+def test_arithmetic_error_exits_one_with_one_line(monkeypatch, capsys):
+    import spincnn.cli as cli
+
+    def overflow(args, argv):
+        raise OverflowError("math range error")
+
+    monkeypatch.setattr(cli, "cmd_oracle", overflow)
+    assert main(["oracle", "transmission"]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "error: math range error (a setting is out of range)"]
 
 
 def test_cli_import_loads_no_scipy():

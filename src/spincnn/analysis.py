@@ -16,8 +16,8 @@ ensembles (`network.run_many`). Each member's run is bit for bit the one
 it gets alone, so the records do not depend on how the points are
 grouped, nor on the number of worker processes.
 
-It formats the sweep outputs too: `sweep.csv`, `pareto.csv` and
-`comparison.txt` (`records_to_csv`, `frontier_to_csv`, `comparison_report`).
+It formats the sweep outputs too: `sweep.csv` from `SweepRecord`s, and
+`pareto.csv` and `comparison.txt` from `DesignPoint`s, either side's points.
 """
 
 from __future__ import annotations
@@ -82,6 +82,19 @@ class SweepRecord:
     delay: float                  # [s]; t_max when not converged
     energy: EnergyBreakdown
     area: float                   # [m^2]
+
+
+@dataclass(frozen=True)
+class DesignPoint:
+    """A design point; spin sets v_drive and size_mult, CMOS sets scale."""
+
+    delay: float                  # [s]; t_max when not converged
+    energy: float                 # [J] per operation
+    area: float                   # [m^2]
+    converged: bool = True
+    v_drive: float | None = None
+    size_mult: int | None = None
+    scale: float | None = None
 
 
 @dataclass(frozen=True)
@@ -227,12 +240,9 @@ def sweep_parts(s: Scenario, voltages, sizes, seeds, cfg: SimConfig,
         yield from map(_sweep_chunk, chunks)
 
 
-def aggregate(records: list[SweepRecord]):
-    """Per (voltage, size): median delay and mean energy over converged seeds.
-
-    Returns a list of dicts sorted by (voltage, size); entries with no
-    converged seed carry converged=False and delay=t_max.
-    """
+def aggregate(records: list[SweepRecord]) -> list[DesignPoint]:
+    """Per (voltage, size), in order: median delay and mean energy over the
+    converged seeds; with none, converged=False, delay=t_max, mean of all."""
     keys = sorted({(r.v_drive, r.size_mult) for r in records})
     out = []
     for v, size in keys:
@@ -240,56 +250,51 @@ def aggregate(records: list[SweepRecord]):
         good = [r for r in group if r.converged]
         if good:
             delay = float(np.median([r.delay for r in good]))
-            energy = float(np.mean([r.energy.total for r in good]))
         else:
             delay = max(r.delay for r in group)
-            energy = float(np.mean([r.energy.total for r in group]))
-        out.append({"v_drive": v, "size_mult": size, "converged": bool(good),
-                    "delay": delay, "energy": energy, "area": group[0].area})
+        energy = float(np.mean([r.energy.total for r in good or group]))
+        out.append(DesignPoint(delay, energy, group[0].area, bool(good),
+                               v_drive=v, size_mult=size))
     return out
 
 
-def pareto(records: list[SweepRecord]):
+def pareto(records: list[SweepRecord]) -> list[DesignPoint]:
     """Minimum-energy converged point per driver size, sorted by area."""
     if not records:
         raise ValueError("empty sweep")
-    agg = aggregate(records)
-    frontier = []
-    for size in sorted({a["size_mult"] for a in agg}):
-        cands = [a for a in agg if a["size_mult"] == size and a["converged"]]
-        if not cands:
-            continue
-        frontier.append(min(cands, key=lambda a: a["energy"]))
-    frontier.sort(key=lambda a: a["area"])
-    return frontier
+    best = {}
+    for p in aggregate(records):
+        if p.converged and (p.size_mult not in best
+                            or p.energy < best[p.size_mult].energy):
+            best[p.size_mult] = p
+    return sorted(best.values(), key=lambda p: p.area)
 
 
-def compare(spin_frontier, cmos_records) -> dict:
+def compare(spin_frontier, cmos_points) -> dict:
     """Energy/area ratios at matched delay (nearest within DELAY_WINDOW).
 
-    cmos_records: list of dicts with delay / energy / area keys, produced
-    by `cmos_sweep`. The CMOS side is calibrated to published claims, not
+    The CMOS points (`cmos_sweep`) are calibrated to published claims, not
     independently derived, and the report says so.
     """
-    if not spin_frontier or not cmos_records:
+    if not spin_frontier or not cmos_points:
         raise ValueError("both frontiers must be non-empty")
-    spin_best = min(spin_frontier, key=lambda a: a["energy"])
-    pairs = [(c, max(c["delay"], spin_best["delay"])
-              / min(c["delay"], spin_best["delay"])) for c in cmos_records]
+    spin = min(spin_frontier, key=lambda p: p.energy)
+    pairs = [(c, max(c.delay, spin.delay) / min(c.delay, spin.delay))
+             for c in cmos_points]
     cmos_pt, ratio = min(pairs, key=lambda p: p[1])
     if ratio > DELAY_WINDOW:
         raise ValueError(f"no CMOS record within {DELAY_WINDOW}x of the "
-                         f"spintronic delay {spin_best['delay']:.3e} s")
+                         f"spintronic delay {spin.delay:.3e} s")
     return {
-        "spin_energy_J": spin_best["energy"],
-        "spin_delay_s": spin_best["delay"],
-        "spin_area_m2": spin_best["area"],
-        "cmos_energy_J": cmos_pt["energy"],
-        "cmos_delay_s": cmos_pt["delay"],
-        "cmos_area_m2": cmos_pt["area"],
-        "energy_ratio": cmos_pt["energy"] / spin_best["energy"],
-        "area_ratio": cmos_pt["area"] / spin_best["area"],
-        "meets_10x": cmos_pt["energy"] / spin_best["energy"] >= 10.0,
+        "spin_energy_J": spin.energy,
+        "spin_delay_s": spin.delay,
+        "spin_area_m2": spin.area,
+        "cmos_energy_J": cmos_pt.energy,
+        "cmos_delay_s": cmos_pt.delay,
+        "cmos_area_m2": cmos_pt.area,
+        "energy_ratio": cmos_pt.energy / spin.energy,
+        "area_ratio": cmos_pt.area / spin.area,
+        "meets_10x": cmos_pt.energy / spin.energy >= 10.0,
         "cmos_label": "calibrated-to-published-claims",
     }
 
@@ -304,8 +309,7 @@ def cmos_sweep(s: Scenario, scales, amp: cmos_mod.AmplifierModel):
                                              int(hw.n_synapses), syn_factor)
         area = cmos_mod.cmos_area(int(hw.n_synapses), hw.resolution_bits,
                                   s.n_cells)
-        out.append({"scale": scale, "delay": delay, "energy": energy,
-                    "area": area})
+        out.append(DesignPoint(delay, energy, area, scale=scale))
     return out
 
 
@@ -328,16 +332,16 @@ def records_to_csv(records: list[SweepRecord]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def frontier_to_csv(frontier) -> str:
+def frontier_to_csv(frontier: list[DesignPoint]) -> str:
     """pareto.csv: one row per frontier point of `pareto`, in its order."""
     lines = ["size_mult,v_drive_V,delay_ns,e_total_fJ,area_um2"]
-    for a in frontier:
+    for p in frontier:
         lines.append(",".join([
-            str(a["size_mult"]),
-            f"{a['v_drive']:.6g}",
-            f"{a['delay'] * 1e9:.6g}",
-            f"{a['energy'] * 1e15:.6g}",
-            f"{a['area'] * 1e12:.6g}",
+            str(p.size_mult),
+            f"{p.v_drive:.6g}",
+            f"{p.delay * 1e9:.6g}",
+            f"{p.energy * 1e15:.6g}",
+            f"{p.area * 1e12:.6g}",
         ]))
     return "\n".join(lines) + "\n"
 

@@ -13,8 +13,10 @@ Subcommands:
               independent numeric computations; exits nonzero on
               disagreement.
 
-Exit codes: 0 converged / agreed, 2 not converged, 1 error: a user error
-is a ValueError, printed as one `error:` line.
+Exit codes, the same for every command: 0 converged or agreed; 2 not
+converged (`simulate`, or a `sweep` with no converged point); 1 any error,
+an oracle that disagrees included. Every user error, a usage error
+included, is a ValueError, printed as one `error:` line on stderr.
 
 This module formats `trajectory.csv`; `analysis` formats the three sweep
 outputs, `core` the frames and patterns and `network` the template file.
@@ -87,11 +89,14 @@ def _load_pattern_arg(value: str) -> Pattern:
     return _read(value, load_pattern, "pattern")
 
 
-def _check_out_dir(path: str):
-    """Before a run: --out, or its nearest existing parent, is a directory."""
+def _check_out_dir(path: str, file: bool = False):
+    """Before a run: --out (the directory of it, for a `file`), or its
+    nearest existing parent, is a directory."""
     if not path:
         raise ValueError("--out: empty path")
     head = os.path.abspath(path)
+    if file:
+        head = os.path.dirname(head)
     while not os.path.exists(head):
         head = os.path.dirname(head)
     if not os.path.isdir(head):
@@ -206,8 +211,7 @@ def cmd_train(args, argv: list[str]) -> int:
             raise ValueError(f"--pairs entry {spec_!r} must be cue:target")
         cue_s, target_s = spec_.split(":", 1)
         pairs.append((_load_pattern_arg(cue_s), _load_pattern_arg(target_s)))
-    if not args.out:
-        raise ValueError("--out: empty path")
+    _check_out_dir(args.out, file=True)
     templates = hebbian_train(pairs)
     rows, cols = pairs[0][0].rows, pairs[0][0].cols
     os.makedirs(os.path.dirname(os.path.abspath(args.out)), exist_ok=True)
@@ -250,6 +254,8 @@ def cmd_sweep(args, argv: list[str]) -> int:
     voltages = _list(args.voltages, "--voltages", float)
     sizes = _list(args.sizes, "--sizes", int)
     seeds = _list(args.seeds, "--seeds", int)
+    if min(sizes) < 1:
+        raise ValueError("--sizes must be >= 1")
     if args.jobs < 1:
         raise ValueError("--jobs must be >= 1")
     _check_out_dir(args.out)
@@ -338,14 +344,12 @@ def _oracle_switch_stats(full: FullConfig) -> int:
     i0 = _demo_i0(full)
     n0 = t0_crossing_step(p, -i0, -sim.mz_threshold, sim.t_max, sim.dt)
     if n0 is None:
-        print(f"drive {-i0:.3e} A does not switch at T = 0")
-        return EXIT_ERROR
+        raise ValueError(f"drive {-i0:.3e} A does not switch at T = 0")
     t0 = n0 * sim.dt
     times = [t for t in switch_times(p, -i0, range(20), sim)
              if t is not None]
     if not times:
-        print("no stochastic realization switched")
-        return EXIT_ERROR
+        raise ValueError("no stochastic realization switched")
     mean = float(np.mean(times))
     ratio = mean / t0
     print(f"deterministic (T = 0) switch time: {t0 * 1e9:.4f} ns")
@@ -372,8 +376,16 @@ def cmd_oracle(args, argv: list[str]) -> int:
 # ---------------------------------------------------------------------------
 # parser
 
+class _Parser(argparse.ArgumentParser):
+    """A usage error is a ValueError, so it exits 1 like any user error and
+    not 2, argparse's own code, which here means "not converged"."""
+
+    def error(self, message):
+        raise ValueError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="spincnn",
         description="Spintronic cellular neural network simulator.")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -417,9 +429,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args, ["spincnn"] + argv)
     except (ValueError, RuntimeError, OSError) as exc:
         # an OSError here comes from writing outputs; _read maps the inputs'

@@ -387,22 +387,22 @@ def test_criterion_08_design_space_shape(nf_sweep):
     _, recs = nf_sweep
     agg = aggregate(recs)
     assert len(agg) == 8
-    conv = [a for a in agg if a["converged"]]
+    conv = [a for a in agg if a.converged]
     assert len(conv) >= 4
-    delays = [a["delay"] for a in conv]
+    delays = [a.delay for a in conv]
     strictly_decreasing = all(a > b for a, b in zip(delays, delays[1:]))
 
-    energies = [a["energy"] for a in conv]
+    energies = [a.energy for a in conv]
     k = int(np.argmin(energies))
     interior = 0 < k < len(conv) - 1 \
-        and conv[k]["v_drive"] not in (SWEEP_VOLTAGES[0], SWEEP_VOLTAGES[-1])
+        and conv[k].v_drive not in (SWEEP_VOLTAGES[0], SWEEP_VOLTAGES[-1])
     ok = strictly_decreasing and interior
     assert _report(
         "criterion 8 (design-space shape)", ok,
         f"IV anchors exact; converged delays "
         f"{[round(x * 1e9, 2) for x in delays]} ns strictly decreasing: "
         f"{strictly_decreasing}; energy argmin at "
-        f"{conv[k]['v_drive']:.2f} V (interior: {interior})")
+        f"{conv[k].v_drive:.2f} V (interior: {interior})")
 
 
 def test_criterion_09_pareto_comparison(nf_sweep, assoc_sweep):

@@ -2,13 +2,15 @@
 the calibrated CMOS comparison."""
 
 import os
+from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
 
 from spincnn import load_glyph
-from spincnn.analysis import (CSV_HEADER, MAGNET_FOOTPRINT, EnergyBreakdown,
-                              EnergyParams, Scenario, ScenarioHardware,
+from spincnn.analysis import (CSV_HEADER, MAGNET_FOOTPRINT, DesignPoint,
+                              EnergyBreakdown, EnergyParams, Scenario,
+                              ScenarioHardware,
                               SweepRecord, _sweep_chunk, aggregate,
                               cmos_sweep, compare, pareto, records_to_csv,
                               spin_area, spin_energy)
@@ -145,14 +147,14 @@ class TestAggregation:
                                 (2, 2e-9, 5e-12)]]
         agg = aggregate(recs)
         assert len(agg) == 1
-        assert agg[0]["delay"] == pytest.approx(2e-9)
-        assert agg[0]["energy"] == pytest.approx(3e-12)
+        assert agg[0].delay == pytest.approx(2e-9)
+        assert agg[0].energy == pytest.approx(3e-12)
 
     def test_nonconverged_group_flagged(self):
         recs = [make_record(0.1, 1, s, False, 20e-9) for s in range(3)]
         agg = aggregate(recs)
-        assert agg[0]["converged"] is False
-        assert agg[0]["delay"] == 20e-9
+        assert agg[0].converged is False
+        assert agg[0].delay == 20e-9
 
     def test_pareto_min_energy_per_size(self):
         recs = [make_record(0.2, 1, 0, True, 2e-9, total=4e-12, area=1e-11),
@@ -160,17 +162,30 @@ class TestAggregation:
                 make_record(0.2, 2, 0, True, 1e-9, total=3e-12, area=2e-11),
                 make_record(0.8, 2, 0, False, 20e-9, total=9e-12, area=2e-11)]
         front = pareto(recs)
-        assert [f["size_mult"] for f in front] == [1, 2]
-        assert front[0]["energy"] == pytest.approx(4e-12)
-        assert front[1]["energy"] == pytest.approx(3e-12)
-        assert front[0]["area"] < front[1]["area"]
+        assert [f.size_mult for f in front] == [1, 2]
+        assert front[0].energy == pytest.approx(4e-12)
+        assert front[1].energy == pytest.approx(3e-12)
+        assert front[0].area < front[1].area
 
     def test_pareto_skips_a_size_with_no_converged_point(self):
         recs = [make_record(0.2, 1, 0, True, 2e-9, total=4e-12, area=1e-11),
                 make_record(0.2, 2, 0, False, 20e-9, area=2e-11),
                 make_record(0.8, 2, 0, False, 20e-9, area=2e-11)]
-        assert [(f["size_mult"], f["v_drive"]) for f in pareto(recs)] == \
+        assert [(f.size_mult, f.v_drive) for f in pareto(recs)] == \
             [(1, 0.2)]
+
+    def test_design_points_are_frozen(self):
+        # the spin side's points, and the CMOS side's, are one frozen record
+        recs = [make_record(0.2, 1, 0, True, 2e-9),
+                make_record(0.8, 1, 0, False, 20e-9)]
+        s = Scenario("nf", load_glyph("zero"), noise_filter_templates(), 0.1)
+        points = aggregate(recs) + pareto(recs) + \
+            cmos_sweep(s, [1, 10], AmplifierModel())
+        assert len(points) == 5
+        for p in points:
+            assert type(p) is DesignPoint
+            with pytest.raises(FrozenInstanceError):
+                p.energy = 0.0
 
     def test_pareto_empty_rejected(self):
         with pytest.raises(ValueError):
@@ -178,29 +193,28 @@ class TestAggregation:
 
 
 class TestCompare:
-    SPIN = [{"v_drive": 0.3, "size_mult": 1, "converged": True,
-             "delay": 1e-8, "energy": 1e-10, "area": 5e-11}]
+    SPIN = [DesignPoint(1e-8, 1e-10, 5e-11, v_drive=0.3, size_mult=1)]
 
     def test_self_comparison_unity(self):
-        cmos = [{"scale": 1, "delay": 1e-8, "energy": 1e-10, "area": 5e-11}]
+        cmos = [DesignPoint(1e-8, 1e-10, 5e-11, scale=1)]
         rep = compare(self.SPIN, cmos)
         assert rep["energy_ratio"] == pytest.approx(1.0)
         assert rep["area_ratio"] == pytest.approx(1.0)
         assert rep["meets_10x"] is False
 
     def test_ten_x_flag(self):
-        cmos = [{"scale": 1, "delay": 1.5e-8, "energy": 2e-9, "area": 5e-10}]
+        cmos = [DesignPoint(1.5e-8, 2e-9, 5e-10, scale=1)]
         rep = compare(self.SPIN, cmos)
         assert rep["meets_10x"] is True
         assert rep["cmos_label"] == "calibrated-to-published-claims"
 
     def test_empty_frontier_rejected(self):
-        cmos = [{"scale": 1, "delay": 1e-8, "energy": 1e-10, "area": 5e-11}]
+        cmos = [DesignPoint(1e-8, 1e-10, 5e-11, scale=1)]
         with pytest.raises(ValueError, match="frontiers must be non-empty"):
             compare([], cmos)
 
     def test_no_delay_overlap_rejected(self):
-        cmos = [{"scale": 1, "delay": 1e-6, "energy": 1e-9, "area": 5e-10}]
+        cmos = [DesignPoint(1e-6, 1e-9, 5e-10, scale=1)]
         with pytest.raises(ValueError, match="within"):
             compare(self.SPIN, cmos)
 
@@ -220,8 +234,8 @@ class TestScenario:
         s = Scenario("nf", load_glyph("zero"), noise_filter_templates(), 0.1)
         recs = cmos_sweep(s, [1, 10], AmplifierModel())
         assert len(recs) == 2
-        assert recs[1]["delay"] == pytest.approx(10e-9)
-        assert recs[0]["energy"] > 0
+        assert recs[1].delay == pytest.approx(10e-9)
+        assert recs[0].energy > 0
 
 
 def test_sweep_records_do_not_depend_on_jobs(sorted_sweep, monkeypatch):

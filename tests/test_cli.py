@@ -336,6 +336,19 @@ class TestTrain:
                    "--out", str(tmp_path / "t.tpl")])
         assert rc == 1
 
+    def test_out_under_a_file_refused_before_training(self, tmp_path,
+                                                      monkeypatch, capsys):
+        import spincnn.cli as cli
+        monkeypatch.setattr(cli, "hebbian_train",
+                            lambda *a: pytest.fail("trained"))
+        afile = tmp_path / "afile"
+        afile.write_text("kept\n")
+        out = os.path.join(str(afile), "sub.tpl")
+        assert main(["train", "--pairs", "one:two", "--out", out]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: --out {out}: {afile} is not a directory"]
+        assert afile.read_text() == "kept\n"
+
 
 class TestSweep:
     def test_row_count_contract(self, tmp_path, fast_config, capsys):
@@ -361,8 +374,9 @@ class TestSweep:
         ("--sizes 1.5", "--sizes: invalid literal for int() with base 10: "
          "'1.5'"),
         ("--jobs 0", "--jobs must be >= 1"),
+        ("--sizes 2,0", "--sizes must be >= 1"),
     ], ids=["0.5,1.0", "1.0,1.0,1.0", "bad-float", "empty", "bad-int",
-            "jobs-0"])
+            "jobs-0", "sizes-0"])
     def test_too_few_voltages(self, flags, error, tmp_path, capsys):
         out = tmp_path / "o"
         rc = main(["sweep", *flags.split(), "--out", str(out)])
@@ -527,8 +541,9 @@ class TestOracle:
         cfg = tmp_path / "sub.cfg"
         cfg.write_text("[drive]\ni0_over_ic = 0.5\n")
         assert main(["oracle", "switch-stats", "--config", str(cfg)]) == 1
-        assert capsys.readouterr().out == \
-            "drive -3.285e-06 A does not switch at T = 0\n"
+        out, err = capsys.readouterr()
+        assert (out, err) == \
+            ("", "error: drive -3.285e-06 A does not switch at T = 0\n")
 
     def test_switch_stats_with_no_realisation_switched_exits_one(
             self, monkeypatch, capsys):
@@ -536,8 +551,9 @@ class TestOracle:
         monkeypatch.setattr(cli, "switch_times",
                             lambda p, Is, seeds, sim: [None for _ in seeds])
         assert main(["oracle", "switch-stats"]) == 1
-        assert capsys.readouterr().out == \
-            "no stochastic realization switched\n"
+        out, err = capsys.readouterr()
+        assert (out, err) == \
+            ("", "error: no stochastic realization switched\n")
 
     def test_critical_current_agrees(self, capsys):
         assert main(["oracle", "critical-current"]) == 0
@@ -577,8 +593,7 @@ class TestOracle:
         assert "exceeds stability guard" in capsys.readouterr().err
 
     def test_unknown_check_rejected(self, capsys):
-        with pytest.raises(SystemExit):
-            main(["oracle", "levitation"])
+        assert main(["oracle", "levitation"]) == 1
 
     def test_critical_current_without_bracket_exits_one(self, tmp_path,
                                                          capsys):
@@ -745,6 +760,37 @@ def test_unusable_out_exits_one_with_one_line(tmp_path, monkeypatch, capsys,
     assert not started
     assert out.is_dir() if command == "train" else \
         out.read_text() == "kept\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["frob"],
+    ["simulate", "--out", "o"],
+    ["simulate", "--pattern", "zero", "--out", "o", "--seed", "abc"],
+    ["train", "--pairs", "one:two"],
+    ["train", "--out", "t.tpl", "--pairs"],
+    ["sweep"],
+    ["sweep", "--out", "o", "--jobs", "two"],
+    ["oracle"],
+    ["oracle", "levitation"],
+], ids=["unknown-command", "simulate-no-pattern", "simulate-seed-abc",
+        "train-no-out", "train-pairs-empty", "sweep-no-out", "sweep-jobs-two",
+        "oracle-no-check", "oracle-check-levitation"])
+def test_usage_error_exits_one_with_one_line(argv, tmp_path, monkeypatch,
+                                             capsys):
+    # argparse's own exit code, 2, is the "not converged" code here
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and len(err.splitlines()) == 1, err
+    assert err.startswith("error: spincnn")
+    assert os.listdir(tmp_path) == []
+
+
+def test_help_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: spincnn sweep")
 
 
 def test_arithmetic_error_exits_one_with_one_line(monkeypatch, capsys):
